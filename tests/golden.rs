@@ -11,13 +11,13 @@
 use sb_bench::harness::{load_suite, BenchConfig};
 use sb_bench::{runners, schemas};
 use sb_core::coloring::ColorAlgorithm;
-use sb_core::common::{Arch, FrontierMode};
+use sb_core::common::{Arch, FrontierMode, SolveOpts};
 use sb_core::matching::MmAlgorithm;
 use sb_core::mis::MisAlgorithm;
-use sb_datasets::suite::Scale;
+use sb_datasets::suite::{generate, spec, GraphId, Scale};
 use sb_engine::protocol::{MutateParams, SolveParams};
 use sb_engine::{
-    run_batch_compare, BatchOptions, EngineConfig, JobSpec, ServeConfig, Server, Solver,
+    run_batch_compare, BatchOptions, EngineConfig, JobSpec, ServeConfig, Server, Solution, Solver,
 };
 use sb_metrics::JsonValue;
 use std::fs;
@@ -272,4 +272,71 @@ fn bench_serve_report_json_shape_is_pinned() {
     let masked = mask_values(&body, &["p50 ms", "p99 ms", "mean ms", "rps"]);
     check_golden("bench_serve_shape.json", &masked);
     fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a over `bytes`: a 64-bit digest that is stable across builds,
+/// platforms and toolchains (unlike `DefaultHasher`).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn solution_digests_and_counters_are_pinned() {
+    // Every solver × arch × frontier mode on two tiny suite graphs of
+    // different shape: the digest of the rendered solution plus the
+    // deterministic work counters. Runs at one thread, where every solver
+    // (VB coloring included) is interleaving-free.
+    let mut solvers = Vec::new();
+    for problem in ["mm", "color", "mis"] {
+        for algo in ["baseline", "bridge", "rand", "degk", "bicc"] {
+            solvers.push(sb_engine::jobs::parse_solver(problem, algo).unwrap());
+        }
+    }
+    let mut out = String::new();
+    for name in ["lp1", "c-73"] {
+        let id = GraphId::ALL
+            .into_iter()
+            .find(|&id| spec(id).name == name)
+            .unwrap();
+        let g = generate(id, Scale::Tiny, 42);
+        for &solver in &solvers {
+            for arch in [Arch::Cpu, Arch::GpuSim] {
+                for mode in [
+                    FrontierMode::Dense,
+                    FrontierMode::Compact,
+                    FrontierMode::Bitset,
+                ] {
+                    let opts = SolveOpts::with_mode(mode);
+                    let (solution, stats) = sb_par::exec::with_threads(1, || match solver {
+                        Solver::Mm(a) => {
+                            let r = sb_core::matching::maximal_matching_opts(&g, a, arch, 7, &opts);
+                            (Solution::Mate(r.mate), r.stats)
+                        }
+                        Solver::Color(a) => {
+                            let r = sb_core::coloring::vertex_coloring_opts(&g, a, arch, 7, &opts);
+                            (Solution::Color(r.color), r.stats)
+                        }
+                        Solver::Mis(a) => {
+                            let r =
+                                sb_core::mis::maximal_independent_set_opts(&g, a, arch, 7, &opts);
+                            (Solution::Set(r.in_set), r.stats)
+                        }
+                    });
+                    solution.verify(&g).unwrap();
+                    let c = &stats.counters;
+                    out.push_str(&format!(
+                        "{name} {}@{arch}/{mode} {:016x} rounds={} edges={} launches={}\n",
+                        solver.label(),
+                        fnv1a(solution.render().as_bytes()),
+                        c.rounds,
+                        c.edges_scanned,
+                        c.kernel_launches
+                    ));
+                }
+            }
+        }
+    }
+    check_golden("solutions.txt", &out);
 }
