@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sb_core::coloring::jp::{jp_color_ordered, JpOrdering};
 use sb_core::coloring::vb::vb_extend;
-use sb_core::coloring::{vertex_coloring, ColorAlgorithm};
-use sb_core::common::Arch;
+use sb_core::coloring::vertex_coloring;
+use sb_core::common::{Arch, FrontierMode, SolveOpts};
+use sb_core::solver::Algo;
 use sb_datasets::suite::{generate, GraphId, Scale};
 use sb_graph::csr::INVALID;
 use sb_par::counters::Counters;
@@ -19,16 +20,27 @@ fn bench_coloring(c: &mut Criterion) {
         let g = generate(id, Scale::Factor(0.2), 42);
         let name = format!("{id:?}");
         for (algo, label) in [
-            (ColorAlgorithm::Baseline, "baseline"),
-            (ColorAlgorithm::Bridge, "bridge"),
-            (ColorAlgorithm::Rand { partitions: 2 }, "rand2"),
-            (ColorAlgorithm::Degk { k: 2 }, "deg2"),
+            (Algo::Baseline, "baseline"),
+            (Algo::Bridge, "bridge"),
+            (Algo::Rand { partitions: 2 }, "rand2"),
+            (Algo::Degk { k: 2 }, "deg2"),
         ] {
             for arch in [Arch::Cpu, Arch::GpuSim] {
                 group.bench_with_input(
                     BenchmarkId::new(format!("{label}/{arch}"), &name),
                     &g,
-                    |b, g| b.iter(|| black_box(vertex_coloring(g, algo, arch, 7))),
+                    |b, g| {
+                        b.iter(|| {
+                            black_box(vertex_coloring(
+                                g,
+                                algo,
+                                None,
+                                arch,
+                                7,
+                                &SolveOpts::default(),
+                            ))
+                        })
+                    },
                 );
             }
         }
@@ -73,11 +85,28 @@ fn bench_jones_plassmann(c: &mut Criterion) {
         (JpOrdering::SmallestDegreeLast, "jp_smallest_last"),
     ] {
         group.bench_function(label, |b| {
-            b.iter(|| black_box(jp_color_ordered(&g, ordering, 7, &Counters::new())))
+            b.iter(|| {
+                black_box(jp_color_ordered(
+                    &g,
+                    ordering,
+                    7,
+                    &Counters::new(),
+                    FrontierMode::default(),
+                ))
+            })
         });
     }
     group.bench_function("vb", |b| {
-        b.iter(|| black_box(vertex_coloring(&g, ColorAlgorithm::Baseline, Arch::Cpu, 7)))
+        b.iter(|| {
+            black_box(vertex_coloring(
+                &g,
+                Algo::Baseline,
+                None,
+                Arch::Cpu,
+                7,
+                &SolveOpts::default(),
+            ))
+        })
     });
     group.finish();
 }

@@ -6,7 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sb_core::common::{Arch, FrontierMode, SolveOpts};
-use sb_core::mis::{maximal_independent_set_opts, MisAlgorithm};
+use sb_core::mis::maximal_independent_set;
+use sb_core::solver::Algo;
 use sb_datasets::suite::{generate, GraphId, Scale};
 use sb_par::frontier::compact_active;
 use sb_par::rng::hash3;
@@ -60,9 +61,10 @@ fn bench_mode_end_to_end(c: &mut Criterion) {
         let opts = SolveOpts::with_mode(mode);
         group.bench_function(format!("luby/{mode}"), |b| {
             b.iter(|| {
-                black_box(maximal_independent_set_opts(
+                black_box(maximal_independent_set(
                     &g,
-                    MisAlgorithm::Baseline,
+                    Algo::Baseline,
+                    None,
                     Arch::Cpu,
                     7,
                     &opts,

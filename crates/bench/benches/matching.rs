@@ -3,10 +3,11 @@
 //! ablations from DESIGN.md §6.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sb_core::common::Arch;
+use sb_core::common::{Arch, SolveOpts};
 use sb_core::matching::gm::{gm_extend, gm_random_extend};
 use sb_core::matching::ii::ii_extend;
-use sb_core::matching::{maximal_matching, MmAlgorithm};
+use sb_core::matching::maximal_matching;
+use sb_core::solver::Algo;
 use sb_datasets::suite::{generate, GraphId, Scale};
 use sb_graph::csr::INVALID;
 use sb_par::counters::Counters;
@@ -19,16 +20,27 @@ fn bench_matching(c: &mut Criterion) {
         let g = generate(id, Scale::Factor(0.2), 42);
         let name = format!("{id:?}");
         for (algo, label) in [
-            (MmAlgorithm::Baseline, "baseline"),
-            (MmAlgorithm::Bridge, "bridge"),
-            (MmAlgorithm::Rand { partitions: 10 }, "rand10"),
-            (MmAlgorithm::Degk { k: 2 }, "deg2"),
+            (Algo::Baseline, "baseline"),
+            (Algo::Bridge, "bridge"),
+            (Algo::Rand { partitions: 10 }, "rand10"),
+            (Algo::Degk { k: 2 }, "deg2"),
         ] {
             for arch in [Arch::Cpu, Arch::GpuSim] {
                 group.bench_with_input(
                     BenchmarkId::new(format!("{label}/{arch}"), &name),
                     &g,
-                    |b, g| b.iter(|| black_box(maximal_matching(g, algo, arch, 7))),
+                    |b, g| {
+                        b.iter(|| {
+                            black_box(maximal_matching(
+                                g,
+                                algo,
+                                None,
+                                arch,
+                                7,
+                                &SolveOpts::default(),
+                            ))
+                        })
+                    },
                 );
             }
         }
@@ -91,7 +103,16 @@ fn bench_degk_threshold(c: &mut Criterion) {
     let g = generate(GraphId::RoadCentral, Scale::Factor(0.15), 42);
     for k in [1usize, 2, 3, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            b.iter(|| black_box(maximal_matching(&g, MmAlgorithm::Degk { k }, Arch::Cpu, 7)))
+            b.iter(|| {
+                black_box(maximal_matching(
+                    &g,
+                    Algo::Degk { k },
+                    None,
+                    Arch::Cpu,
+                    7,
+                    &SolveOpts::default(),
+                ))
+            })
         });
     }
     group.finish();

@@ -3,11 +3,12 @@
 //! ablations from DESIGN.md §6.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sb_core::common::Arch;
+use sb_core::common::{Arch, FrontierMode, SolveOpts};
 use sb_core::mis::greedy::greedy_mis;
 use sb_core::mis::luby::{luby_extend, luby_extend_compacted};
+use sb_core::mis::maximal_independent_set;
 use sb_core::mis::oriented::oriented_mis_extend;
-use sb_core::mis::{maximal_independent_set, MisAlgorithm};
+use sb_core::solver::Algo;
 use sb_datasets::suite::{generate, GraphId, Scale};
 use sb_par::counters::Counters;
 use std::hint::black_box;
@@ -19,16 +20,27 @@ fn bench_mis(c: &mut Criterion) {
         let g = generate(id, Scale::Factor(0.2), 42);
         let name = format!("{id:?}");
         for (algo, label) in [
-            (MisAlgorithm::Baseline, "luby"),
-            (MisAlgorithm::Bridge, "bridge"),
-            (MisAlgorithm::Rand { partitions: 10 }, "rand10"),
-            (MisAlgorithm::Degk { k: 2 }, "deg2"),
+            (Algo::Baseline, "luby"),
+            (Algo::Bridge, "bridge"),
+            (Algo::Rand { partitions: 10 }, "rand10"),
+            (Algo::Degk { k: 2 }, "deg2"),
         ] {
             for arch in [Arch::Cpu, Arch::GpuSim] {
                 group.bench_with_input(
                     BenchmarkId::new(format!("{label}/{arch}"), &name),
                     &g,
-                    |b, g| b.iter(|| black_box(maximal_independent_set(g, algo, arch, 7))),
+                    |b, g| {
+                        b.iter(|| {
+                            black_box(maximal_independent_set(
+                                g,
+                                algo,
+                                None,
+                                arch,
+                                7,
+                                &SolveOpts::default(),
+                            ))
+                        })
+                    },
                 );
             }
         }
@@ -47,7 +59,14 @@ fn bench_low_degree_solvers(c: &mut Criterion) {
     group.bench_function("oriented", |b| {
         b.iter(|| {
             let mut st = vec![0u8; g.num_vertices()];
-            oriented_mis_extend(&g, d.low_view(), &mut st, Some(&low_side), &Counters::new());
+            oriented_mis_extend(
+                &g,
+                d.low_view(),
+                &mut st,
+                Some(&low_side),
+                &Counters::new(),
+                FrontierMode::default(),
+            );
             black_box(st)
         })
     });

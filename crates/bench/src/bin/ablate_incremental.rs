@@ -4,7 +4,7 @@
 //! 100 / 1000 (half removals of live edges, half random insertions) and
 //! compare two ways of answering for the edited graph:
 //!
-//! * **repair** — `sb_core::repair::repair_*` patches the prior solution
+//! * **repair** — `sb_core::repair::repair` patches the prior solution
 //!   through the zero-rebuild edit overlay, cost proportional to the
 //!   batch;
 //! * **fresh** — materialize the edited CSR and re-run the static solver
@@ -30,11 +30,9 @@
 use sb_bench::harness::{load_suite, time_min, BenchConfig};
 use sb_bench::report::fmt_ms;
 use sb_bench::schemas;
-use sb_core::coloring::{vertex_coloring_opts, ColorAlgorithm};
 use sb_core::common::{Arch, SolveOpts};
-use sb_core::matching::{maximal_matching_opts, MmAlgorithm};
-use sb_core::mis::{maximal_independent_set_opts, MisAlgorithm};
-use sb_core::{repair, verify};
+use sb_core::repair::repair;
+use sb_core::solver::{solve, Algo, Problem, Solver};
 use sb_graph::csr::Graph;
 use sb_graph::editlog::EditLog;
 use sb_par::rng::{bounded, hash3};
@@ -84,52 +82,34 @@ fn main() {
     let mut failures = 0usize;
     for (sp, g) in &suite.graphs {
         // One prior solve per family; every batch size repairs from it.
-        let mm_prior = maximal_matching_opts(g, MmAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts);
-        let mis_prior =
-            maximal_independent_set_opts(g, MisAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts);
-        let col_prior =
-            vertex_coloring_opts(g, ColorAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts);
+        let priors = [
+            (Problem::Mm, "GM"),
+            (Problem::Mis, "LubyMIS"),
+            (Problem::Color, "JP-color"),
+        ]
+        .map(|(problem, algo)| {
+            let solver = Solver {
+                problem,
+                algo: Algo::Baseline,
+            };
+            let (prior, _) = solve(g, solver, None, Arch::Cpu, cfg.seed, &opts);
+            (solver, algo, prior)
+        });
 
         for batch_size in BATCHES {
             let batch = edit_batch(g, cfg.seed, batch_size);
             let edited = batch.materialize(g);
 
-            // (family, repair ms, repair edges, fresh ms, fresh edges, validity)
-            type Row = (&'static str, f64, u64, f64, u64, Result<(), String>);
-            let rows: Vec<Row> = vec![
-                {
-                    let (rms, rr) =
-                        time_min(cfg.reps, || repair::repair_matching(g, &batch, &mm_prior.mate, &opts));
-                    let (fms, fr) = time_min(cfg.reps, || {
-                        let g2 = batch.materialize(g);
-                        maximal_matching_opts(&g2, MmAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts)
-                    });
-                    let valid = verify::check_maximal_matching(&edited, &rr.mate);
-                    ("GM", rms, rr.stats.counters.edges_scanned, fms, fr.stats.counters.edges_scanned, valid)
-                },
-                {
-                    let (rms, rr) =
-                        time_min(cfg.reps, || repair::repair_mis(g, &batch, &mis_prior.in_set, &opts));
-                    let (fms, fr) = time_min(cfg.reps, || {
-                        let g2 = batch.materialize(g);
-                        maximal_independent_set_opts(&g2, MisAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts)
-                    });
-                    let valid = verify::check_maximal_independent_set(&edited, &rr.in_set);
-                    ("LubyMIS", rms, rr.stats.counters.edges_scanned, fms, fr.stats.counters.edges_scanned, valid)
-                },
-                {
-                    let (rms, rr) =
-                        time_min(cfg.reps, || repair::repair_coloring(g, &batch, &col_prior.color, &opts));
-                    let (fms, fr) = time_min(cfg.reps, || {
-                        let g2 = batch.materialize(g);
-                        vertex_coloring_opts(&g2, ColorAlgorithm::Baseline, Arch::Cpu, cfg.seed, &opts)
-                    });
-                    let valid = verify::check_coloring(&edited, &rr.color);
-                    ("JP-color", rms, rr.stats.counters.edges_scanned, fms, fr.stats.counters.edges_scanned, valid)
-                },
-            ];
-
-            for (algo, repair_ms, repair_edges, fresh_ms, fresh_edges, valid) in rows {
+            for (solver, algo, prior) in &priors {
+                let (repair_ms, (repaired, rstats)) =
+                    time_min(cfg.reps, || repair(g, &batch, prior, &opts));
+                let (fresh_ms, (_, fstats)) = time_min(cfg.reps, || {
+                    let g2 = batch.materialize(g);
+                    solve(&g2, *solver, None, Arch::Cpu, cfg.seed, &opts)
+                });
+                let valid = repaired.verify(&edited);
+                let repair_edges = rstats.counters.edges_scanned;
+                let fresh_edges = fstats.counters.edges_scanned;
                 if let Err(e) = &valid {
                     eprintln!(
                         "FAIL: {} / {algo} @ batch {batch_size}: repaired solution invalid: {e}",

@@ -7,9 +7,10 @@
 
 use sb_bench::harness::{load_suite, mm_rand_partitions, BenchConfig};
 use sb_bench::schemas;
-use sb_core::common::Arch;
+use sb_core::common::{Arch, SolveOpts};
 use sb_core::matching::gm::{gm_extend, gm_random_extend};
-use sb_core::matching::{maximal_matching, MmAlgorithm};
+use sb_core::matching::maximal_matching;
+use sb_core::solver::Algo;
 use sb_core::verify::check_maximal_matching;
 use sb_graph::csr::INVALID;
 use sb_par::counters::Counters;
@@ -23,10 +24,24 @@ fn main() {
     let schema = schemas::ablate_iterations();
     let mut t = schema.table();
     for (sp, g) in &suite.graphs {
-        let base = maximal_matching(g, MmAlgorithm::Baseline, Arch::Cpu, cfg.seed);
+        let base = maximal_matching(
+            g,
+            Algo::Baseline,
+            None,
+            Arch::Cpu,
+            cfg.seed,
+            &SolveOpts::default(),
+        );
         check_maximal_matching(g, &base.mate).unwrap();
         let k = mm_rand_partitions(Arch::Cpu, sp);
-        let rand = maximal_matching(g, MmAlgorithm::Rand { partitions: k }, Arch::Cpu, cfg.seed);
+        let rand = maximal_matching(
+            g,
+            Algo::Rand { partitions: k },
+            None,
+            Arch::Cpu,
+            cfg.seed,
+            &SolveOpts::default(),
+        );
         check_maximal_matching(g, &rand.mate).unwrap();
 
         // Ablation: same graph, same greedy structure, random priorities.

@@ -5,8 +5,10 @@
 use sb_bench::harness::{load_suite, time_min, BenchConfig};
 use sb_bench::report::fmt_ms;
 use sb_bench::schemas;
-use sb_core::coloring::{vertex_coloring, ColorAlgorithm};
-use sb_core::matching::{maximal_matching, MmAlgorithm};
+use sb_core::coloring::vertex_coloring;
+use sb_core::common::SolveOpts;
+use sb_core::matching::maximal_matching;
+use sb_core::solver::Algo;
 use sb_core::verify::{check_coloring, check_maximal_matching};
 
 const KS: [usize; 6] = [2, 4, 10, 20, 50, 100];
@@ -25,12 +27,26 @@ fn main() {
         let mut col_row = vec![sp.name.to_string()];
         for k in KS {
             let (ms, run) = time_min(cfg.reps, || {
-                maximal_matching(g, MmAlgorithm::Rand { partitions: k }, arch, cfg.seed)
+                maximal_matching(
+                    g,
+                    Algo::Rand { partitions: k },
+                    None,
+                    arch,
+                    cfg.seed,
+                    &SolveOpts::default(),
+                )
             });
             check_maximal_matching(g, &run.mate).unwrap();
             mm_row.push(fmt_ms(ms));
             let (ms, run) = time_min(cfg.reps, || {
-                vertex_coloring(g, ColorAlgorithm::Rand { partitions: k }, arch, cfg.seed)
+                vertex_coloring(
+                    g,
+                    Algo::Rand { partitions: k },
+                    None,
+                    arch,
+                    cfg.seed,
+                    &SolveOpts::default(),
+                )
             });
             check_coloring(g, &run.color).unwrap();
             col_row.push(fmt_ms(ms));

@@ -25,9 +25,10 @@
 use sb_bench::harness::{load_suite, thread_counts, time_min, BenchConfig};
 use sb_bench::report::{fmt_ms, fmt_speedup};
 use sb_bench::schemas;
-use sb_core::common::Arch;
-use sb_core::matching::{maximal_matching, MmAlgorithm};
-use sb_core::mis::{maximal_independent_set, MisAlgorithm};
+use sb_core::common::{Arch, SolveOpts};
+use sb_core::matching::maximal_matching;
+use sb_core::mis::maximal_independent_set;
+use sb_core::solver::Algo;
 use sb_core::verify::{check_maximal_independent_set, check_maximal_matching};
 use sb_par::with_threads;
 use std::path::Path;
@@ -69,7 +70,14 @@ fn main() {
             (
                 format!("{} / GM", sp.name),
                 Box::new(|| {
-                    let r = maximal_matching(g, MmAlgorithm::Baseline, Arch::Cpu, cfg.seed);
+                    let r = maximal_matching(
+                        g,
+                        Algo::Baseline,
+                        None,
+                        Arch::Cpu,
+                        cfg.seed,
+                        &SolveOpts::default(),
+                    );
                     check_maximal_matching(g, &r.mate).unwrap();
                 }),
             ),
@@ -78,9 +86,11 @@ fn main() {
                 Box::new(|| {
                     let r = maximal_matching(
                         g,
-                        MmAlgorithm::Rand { partitions: 10 },
+                        Algo::Rand { partitions: 10 },
+                        None,
                         Arch::Cpu,
                         cfg.seed,
+                        &SolveOpts::default(),
                     );
                     check_maximal_matching(g, &r.mate).unwrap();
                 }),
@@ -88,7 +98,14 @@ fn main() {
             (
                 format!("{} / LubyMIS", sp.name),
                 Box::new(|| {
-                    let r = maximal_independent_set(g, MisAlgorithm::Baseline, Arch::Cpu, cfg.seed);
+                    let r = maximal_independent_set(
+                        g,
+                        Algo::Baseline,
+                        None,
+                        Arch::Cpu,
+                        cfg.seed,
+                        &SolveOpts::default(),
+                    );
                     check_maximal_independent_set(g, &r.in_set).unwrap();
                 }),
             ),
@@ -97,9 +114,11 @@ fn main() {
                 Box::new(|| {
                     let r = maximal_independent_set(
                         g,
-                        MisAlgorithm::Degk { k: 2 },
+                        Algo::Degk { k: 2 },
+                        None,
                         Arch::Cpu,
                         cfg.seed,
+                        &SolveOpts::default(),
                     );
                     check_maximal_independent_set(g, &r.in_set).unwrap();
                 }),

@@ -10,10 +10,11 @@
 use sb_bench::harness::{load_suite, BenchConfig};
 use sb_bench::report::Table;
 use sb_bench::schemas;
-use sb_core::coloring::{vertex_coloring, ColorAlgorithm};
-use sb_core::common::Arch;
-use sb_core::matching::{maximal_matching, MmAlgorithm};
-use sb_core::mis::{maximal_independent_set, MisAlgorithm};
+use sb_core::coloring::vertex_coloring;
+use sb_core::common::{Arch, SolveOpts};
+use sb_core::matching::maximal_matching;
+use sb_core::mis::maximal_independent_set;
+use sb_core::solver::Algo;
 use sb_par::counters::{CounterSnapshot, GpuCostModel};
 
 fn row(label: &str, s: CounterSnapshot, t: &mut Table) {
@@ -52,44 +53,86 @@ fn main() {
         let arch = Arch::GpuSim;
         row(
             "LMAX (baseline)",
-            maximal_matching(g, MmAlgorithm::Baseline, arch, cfg.seed)
-                .stats
-                .counters,
+            maximal_matching(
+                g,
+                Algo::Baseline,
+                None,
+                arch,
+                cfg.seed,
+                &SolveOpts::default(),
+            )
+            .stats
+            .counters,
             &mut t,
         );
         row(
             "MM-Rand(100)",
-            maximal_matching(g, MmAlgorithm::Rand { partitions: 100 }, arch, cfg.seed)
-                .stats
-                .counters,
+            maximal_matching(
+                g,
+                Algo::Rand { partitions: 100 },
+                None,
+                arch,
+                cfg.seed,
+                &SolveOpts::default(),
+            )
+            .stats
+            .counters,
             &mut t,
         );
         row(
             "EB (baseline)",
-            vertex_coloring(g, ColorAlgorithm::Baseline, arch, cfg.seed)
-                .stats
-                .counters,
+            vertex_coloring(
+                g,
+                Algo::Baseline,
+                None,
+                arch,
+                cfg.seed,
+                &SolveOpts::default(),
+            )
+            .stats
+            .counters,
             &mut t,
         );
         row(
             "COLOR-Deg2",
-            vertex_coloring(g, ColorAlgorithm::Degk { k: 2 }, arch, cfg.seed)
-                .stats
-                .counters,
+            vertex_coloring(
+                g,
+                Algo::Degk { k: 2 },
+                None,
+                arch,
+                cfg.seed,
+                &SolveOpts::default(),
+            )
+            .stats
+            .counters,
             &mut t,
         );
         row(
             "LubyMIS (baseline)",
-            maximal_independent_set(g, MisAlgorithm::Baseline, arch, cfg.seed)
-                .stats
-                .counters,
+            maximal_independent_set(
+                g,
+                Algo::Baseline,
+                None,
+                arch,
+                cfg.seed,
+                &SolveOpts::default(),
+            )
+            .stats
+            .counters,
             &mut t,
         );
         row(
             "MIS-Deg2",
-            maximal_independent_set(g, MisAlgorithm::Degk { k: 2 }, arch, cfg.seed)
-                .stats
-                .counters,
+            maximal_independent_set(
+                g,
+                Algo::Degk { k: 2 },
+                None,
+                arch,
+                cfg.seed,
+                &SolveOpts::default(),
+            )
+            .stats
+            .counters,
             &mut t,
         );
         t.emit(&schema.name);

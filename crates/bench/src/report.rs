@@ -1,5 +1,6 @@
 //! Table formatting and persistence for the bench binaries.
 
+use sb_metrics::escape_json;
 use std::fs;
 use std::path::Path;
 
@@ -114,14 +115,14 @@ impl Table {
                     .headers
                     .iter()
                     .zip(row)
-                    .map(|(h, c)| format!("\"{}\":\"{}\"", json_escape(h), json_escape(c)))
+                    .map(|(h, c)| format!("\"{}\":\"{}\"", escape_json(h), escape_json(c)))
                     .collect();
                 format!("{{{}}}", fields.join(","))
             })
             .collect();
-        let mut head = format!("\"title\":\"{}\"", json_escape(&self.title));
+        let mut head = format!("\"title\":\"{}\"", escape_json(&self.title));
         for (k, v) in extra {
-            head.push_str(&format!(",\"{}\":{v}", json_escape(k)));
+            head.push_str(&format!(",\"{}\":{v}", escape_json(k)));
         }
         let body = format!("{{{head},\"records\":[{}]}}\n", records.join(","));
         fs::write(&path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))
@@ -152,25 +153,6 @@ fn ensure_parent(path: &Path) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Format milliseconds with sensible precision.
@@ -277,12 +259,6 @@ mod tests {
     fn speedup_annotates_host_limited_hosts() {
         assert_eq!(fmt_speedup(2.5, false), "2.50x");
         assert_eq!(fmt_speedup(1.02, true), "1.02x (host-limited)");
-    }
-
-    #[test]
-    fn json_escape_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

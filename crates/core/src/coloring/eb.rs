@@ -114,7 +114,7 @@ pub fn eb_extend(
 /// already-colored vertices — the composites guarantee it (they reset
 /// conflicted vertices before recoloring); the dense form would silently
 /// repair an improper entry, this form does not.
-pub fn eb_extend_frontier(
+pub(crate) fn eb_extend_frontier(
     g: &Graph,
     view: EdgeView<'_>,
     color: &mut [u32],
@@ -129,7 +129,7 @@ pub fn eb_extend_frontier(
 /// Bitset form of [`eb_extend_frontier`] (the [`BitFrontier`]
 /// instantiation): both the vertex live set and the live *edge* set are
 /// held as u64 bitset words over their respective index spaces.
-pub fn eb_extend_bitset(
+pub(crate) fn eb_extend_bitset(
     g: &Graph,
     view: EdgeView<'_>,
     color: &mut [u32],

@@ -84,22 +84,14 @@ fn priorities(g: &Graph, ordering: JpOrdering, seed: u64, counters: &Counters) -
 }
 
 /// Color `g` with Jones–Plassmann under the given ordering heuristic.
+///
+/// `Dense` and `Compact` run the worklist form (JP's worklist *is* its
+/// frontier — there is no separate dense sweep); `Bitset` runs the
+/// identical rounds over a [`BitFrontier`]. Outputs are byte-identical
+/// across modes and thread counts: decisions are double-buffered through a
+/// proposal array, so they depend only on pre-round colors, never on
+/// iteration order.
 pub fn jp_color_ordered(
-    g: &Graph,
-    ordering: JpOrdering,
-    seed: u64,
-    counters: &Counters,
-) -> Vec<u32> {
-    jp_color_ordered_opts(g, ordering, seed, counters, FrontierMode::default())
-}
-
-/// [`jp_color_ordered`] with an explicit live-set representation. `Dense`
-/// and `Compact` run the worklist form (JP's worklist *is* its frontier —
-/// there is no separate dense sweep); `Bitset` runs the identical rounds
-/// over a [`BitFrontier`]. Outputs are byte-identical across modes and
-/// thread counts: decisions are double-buffered through a proposal array,
-/// so they depend only on pre-round colors, never on iteration order.
-pub fn jp_color_ordered_opts(
     g: &Graph,
     ordering: JpOrdering,
     seed: u64,
@@ -192,7 +184,13 @@ fn jp_color_ordered_impl<W: ActiveSet>(
 
 /// Color `g` with the original random-priority Jones–Plassmann.
 pub fn jp_color(g: &Graph, seed: u64, counters: &Counters) -> Vec<u32> {
-    jp_color_ordered(g, JpOrdering::Random, seed, counters)
+    jp_color_ordered(
+        g,
+        JpOrdering::Random,
+        seed,
+        counters,
+        FrontierMode::default(),
+    )
 }
 
 #[cfg(test)]
@@ -256,7 +254,7 @@ mod tests {
             JpOrdering::LargestDegreeFirst,
             JpOrdering::SmallestDegreeLast,
         ] {
-            let c = jp_color_ordered(&g, ordering, 4, &Counters::new());
+            let c = jp_color_ordered(&g, ordering, 4, &Counters::new(), FrontierMode::default());
             check_coloring(&g, &c).unwrap_or_else(|e| panic!("{ordering:?}: {e}"));
             assert!(color_count(&c) <= g.max_degree() + 1, "{ordering:?}");
         }
@@ -276,7 +274,13 @@ mod tests {
             edges.push((0, b));
         }
         let g = from_edge_list(41, &edges);
-        let c = jp_color_ordered(&g, JpOrdering::SmallestDegreeLast, 3, &Counters::new());
+        let c = jp_color_ordered(
+            &g,
+            JpOrdering::SmallestDegreeLast,
+            3,
+            &Counters::new(),
+            FrontierMode::default(),
+        );
         check_coloring(&g, &c).unwrap();
         assert!(
             color_count(&c) <= 4,

@@ -132,7 +132,7 @@ pub fn vb_extend(
 /// byte-identical to [`vb_extend`]; across threads VB is the documented
 /// interleaving-dependent exception (it reads live colors), in both modes.
 #[allow(clippy::too_many_arguments)]
-pub fn vb_extend_frontier(
+pub(crate) fn vb_extend_frontier(
     g: &Graph,
     view: EdgeView<'_>,
     color: &mut [u32],
@@ -149,7 +149,7 @@ pub fn vb_extend_frontier(
 /// instantiation). Same 1-thread byte-identity / N-thread
 /// interleaving-dependence caveats as the worklist form.
 #[allow(clippy::too_many_arguments)]
-pub fn vb_extend_bitset(
+pub(crate) fn vb_extend_bitset(
     g: &Graph,
     view: EdgeView<'_>,
     color: &mut [u32],

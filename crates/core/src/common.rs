@@ -1,5 +1,6 @@
 //! Shared run configuration and reporting types.
 
+use sb_graph::csr::Graph;
 use sb_par::counters::{CounterSnapshot, Counters};
 use sb_par::frontier::ScratchStats;
 use sb_trace::{TraceSink, TraceSummary};
@@ -81,7 +82,7 @@ impl std::str::FromStr for FrontierMode {
     }
 }
 
-/// Per-run options shared by the `*_opts` solver entry points.
+/// Per-run options shared by every solver entry point.
 #[derive(Debug, Clone, Default)]
 pub struct SolveOpts {
     /// Trace sink for phase spans and round records (`None` = untraced).
@@ -91,15 +92,6 @@ pub struct SolveOpts {
 }
 
 impl SolveOpts {
-    /// Options for a traced run in the default (compact) mode — what the
-    /// legacy `*_traced` entry points construct.
-    pub fn traced(trace: Option<Arc<TraceSink>>) -> SolveOpts {
-        SolveOpts {
-            trace,
-            ..SolveOpts::default()
-        }
-    }
-
     /// Options for an untraced run in the given mode.
     pub fn with_mode(frontier: FrontierMode) -> SolveOpts {
         SolveOpts {
@@ -107,6 +99,27 @@ impl SolveOpts {
             frontier,
         }
     }
+
+    /// A fresh counter block for one run: reporting into the options'
+    /// trace sink when tracing was requested, plain otherwise.
+    pub fn counters(&self) -> Counters {
+        match &self.trace {
+            Some(sink) => Counters::with_trace(sink.clone()),
+            None => Counters::new(),
+        }
+    }
+}
+
+/// What a composite carries into its phases: the input and its run
+/// parameters, the run's counter block, and the decomposition time
+/// already spent (zero when the decomposition was supplied).
+pub(crate) struct RunCtx<'a> {
+    pub g: &'a Graph,
+    pub arch: Arch,
+    pub seed: u64,
+    pub opts: &'a SolveOpts,
+    pub counters: Counters,
+    pub decompose_time: Duration,
 }
 
 /// Timing and work breakdown of one solver run, reported next to every
@@ -170,21 +183,6 @@ impl RunStats {
     /// but the counters record exactly the traffic in each class.
     pub fn modeled_gpu_ms(&self) -> f64 {
         sb_par::counters::GpuCostModel::K40C.modeled_ms(&self.counters)
-    }
-}
-
-/// Counter block for one run's options: reporting into the options' sink
-/// when tracing was requested, plain otherwise.
-pub(crate) fn counters_for_opts(opts: &SolveOpts) -> Counters {
-    counters_for(opts.trace.clone())
-}
-
-/// Counter block for one run: reporting into `sink` when tracing was
-/// requested, plain otherwise. Shared by every composite's entry points.
-pub(crate) fn counters_for(trace: Option<Arc<TraceSink>>) -> Counters {
-    match trace {
-        Some(sink) => Counters::with_trace(sink),
-        None => Counters::new(),
     }
 }
 

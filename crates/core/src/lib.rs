@@ -21,6 +21,17 @@
 //! space (see `sb_graph::subgraph`), phase 1 fills part of the solution
 //! array, and phase 2 continues on the rest.
 //!
+//! [`solver`] is the registry: the one module that knows the solver
+//! vocabulary ([`Problem`] × [`Algo`] = [`Solver`], their parse and label,
+//! [`Decomposition`], [`Solution`]) and the one dispatch on the problem,
+//! [`solve`]. Each family has one entry point with one signature —
+//! [`matching::maximal_matching`], [`coloring::vertex_coloring`],
+//! [`mis::maximal_independent_set`] — taking `(graph, algo, decomp, arch,
+//! seed, &SolveOpts)`: `decomp: None` decomposes inline, `Some` runs the
+//! solve phases over a precomputed (e.g. cached) decomposition, and the
+//! trace sink and frontier mode ride in [`common::SolveOpts`].
+//! [`repair::repair`] is the incremental counterpart of [`solve`].
+//!
 //! Use [`verify`] to check any produced solution against an independent
 //! implementation of the problem definition.
 
@@ -29,6 +40,8 @@ pub mod common;
 pub mod matching;
 pub mod mis;
 pub mod repair;
+pub mod solver;
 pub mod verify;
 
 pub use common::{Arch, RunStats};
+pub use solver::{solve, Algo, Decomposition, Problem, Solution, Solver};

@@ -118,7 +118,7 @@ pub fn gm_extend(
 /// and its target is still unmatched, or it would have been dirtied — so
 /// outputs are byte-identical to [`gm_extend`] for any thread count, while
 /// total `edges_scanned` drops from O(rounds · live) to O(m).
-pub fn gm_extend_frontier(
+pub(crate) fn gm_extend_frontier(
     g: &Graph,
     view: EdgeView<'_>,
     mate: &mut [u32],
@@ -134,7 +134,7 @@ pub fn gm_extend_frontier(
 /// the dirty marks as a word bitset. Iteration walks nonzero words by
 /// trailing zeros in ascending order — the same order as the worklist form —
 /// so outputs stay byte-identical to [`gm_extend`].
-pub fn gm_extend_bitset(
+pub(crate) fn gm_extend_bitset(
     g: &Graph,
     view: EdgeView<'_>,
     mate: &mut [u32],

@@ -43,7 +43,7 @@ pub fn lmax_extend(
 /// parent: materialization renumbers edges by rank among the kept ones —
 /// a strictly increasing map — so per-edge weights and tie-break order
 /// both transfer exactly. `None` keys weights by the local edge id.
-pub fn lmax_extend_with_ids(
+pub(crate) fn lmax_extend_with_ids(
     g: &Graph,
     view: EdgeView<'_>,
     mate: &mut [u32],
@@ -161,7 +161,7 @@ pub fn lmax_extend_with_ids(
 /// final no-pointer sweep is skipped whenever the worklist empties first,
 /// and is marked `vacuous` in the trace when either form does run it.
 /// Compaction is charged as a third kernel over the live set.
-pub fn lmax_extend_frontier(
+pub(crate) fn lmax_extend_frontier(
     g: &Graph,
     view: EdgeView<'_>,
     mate: &mut [u32],
@@ -175,7 +175,7 @@ pub fn lmax_extend_frontier(
 
 /// Bitset form of [`lmax_extend_frontier`] (the [`BitFrontier`]
 /// instantiation): same point/match kernels, live set as u64 bitset words.
-pub fn lmax_extend_bitset(
+pub(crate) fn lmax_extend_bitset(
     g: &Graph,
     view: EdgeView<'_>,
     mate: &mut [u32],

@@ -281,7 +281,7 @@ pub fn luby_extend_bsp(
 /// round's exclusion cleared all others. Round 1 gathers, so IN vertices
 /// decided by *earlier* extend calls (outside `allowed`) still exclude
 /// their neighbors exactly as in the dense form.
-pub fn luby_extend_frontier(
+pub(crate) fn luby_extend_frontier(
     g: &Graph,
     view: EdgeView<'_>,
     status: &mut [u8],
@@ -299,7 +299,7 @@ pub fn luby_extend_frontier(
 /// with one-bit-per-vertex marks), and compaction emits word-index runs.
 /// Byte-identical to the worklist form: both iterate members in increasing
 /// vertex order wherever order matters.
-pub fn luby_extend_bitset(
+pub(crate) fn luby_extend_bitset(
     g: &Graph,
     view: EdgeView<'_>,
     status: &mut [u8],
@@ -432,7 +432,7 @@ fn luby_extend_frontier_impl<W: ActiveSet>(
 /// (four per round), but conflict resolution launches over the marked
 /// candidates and exclusion scatters from the round's winners (round 1
 /// gathers, as in [`luby_extend_frontier`]).
-pub fn luby_extend_bsp_frontier(
+pub(crate) fn luby_extend_bsp_frontier(
     g: &Graph,
     view: EdgeView<'_>,
     status: &mut [u8],
@@ -446,7 +446,7 @@ pub fn luby_extend_bsp_frontier(
 
 /// Bitset form of [`luby_extend_bsp_frontier`] (the [`BitFrontier`]
 /// instantiation); see [`luby_extend_bitset`] for the representation.
-pub fn luby_extend_bsp_bitset(
+pub(crate) fn luby_extend_bsp_bitset(
     g: &Graph,
     view: EdgeView<'_>,
     status: &mut [u8],
@@ -790,5 +790,45 @@ mod tests {
         luby_extend(&g, EdgeView::full(), &mut st, None, 4, &c);
         let s = c.snapshot();
         assert!(s.work_items >= 2 * 100 * s.rounds);
+    }
+
+    #[test]
+    fn scratch_arena_stops_allocating_after_first_solve() {
+        use sb_datasets::suite::{generate, GraphId, Scale};
+        let g = generate(GraphId::CoAuthorsCiteseer, Scale::Tiny, 99);
+        let n = g.num_vertices();
+        let mut scratch = Scratch::new();
+        let view = EdgeView::full();
+
+        let mut first = vec![0u8; n];
+        luby_extend_frontier(
+            &g,
+            view,
+            &mut first,
+            None,
+            7,
+            &Counters::new(),
+            &mut scratch,
+        );
+        let after_first = scratch.stats();
+        assert!(after_first.fresh_allocs > 0, "first solve must allocate");
+
+        let mut second = vec![0u8; n];
+        luby_extend_frontier(
+            &g,
+            view,
+            &mut second,
+            None,
+            7,
+            &Counters::new(),
+            &mut scratch,
+        );
+        let after_second = scratch.stats();
+        assert_eq!(
+            after_second.fresh_allocs, after_first.fresh_allocs,
+            "second solve on a warm arena must not allocate"
+        );
+        assert!(after_second.reuses > after_first.reuses);
+        assert_eq!(first, second, "same seed on a warm arena must not diverge");
     }
 }

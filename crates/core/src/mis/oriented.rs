@@ -44,23 +44,14 @@ fn cv_step(c: u32, cp: u32) -> u32 {
 /// Requires every participating vertex to have at most 2 participating
 /// neighbors (the `G_L` guarantee of the DEG2 decomposition); panics in
 /// debug builds otherwise.
+///
+/// The algorithm has no round-over-round frontier (the participant set is
+/// fixed at entry), so `mode` only selects how the participant
+/// *membership mask* is held: `Dense`/`Compact` use the byte array,
+/// `Bitset` packs it into u64 words probed with shift-and-mask. Outputs
+/// are identical — the mask answers exactly the same membership queries
+/// either way.
 pub fn oriented_mis_extend(
-    g: &Graph,
-    view: EdgeView<'_>,
-    status: &mut [u8],
-    allowed: Option<&[bool]>,
-    counters: &Counters,
-) {
-    oriented_mis_extend_opts(g, view, status, allowed, counters, FrontierMode::default());
-}
-
-/// [`oriented_mis_extend`] with an explicit live-set representation. The
-/// algorithm has no round-over-round frontier (the participant set is fixed
-/// at entry), so the mode only selects how the participant *membership
-/// mask* is held: `Dense`/`Compact` use the byte array, `Bitset` packs it
-/// into u64 words probed with shift-and-mask. Outputs are identical — the
-/// mask answers exactly the same membership queries either way.
-pub fn oriented_mis_extend_opts(
     g: &Graph,
     view: EdgeView<'_>,
     status: &mut [u8],
@@ -290,7 +281,14 @@ mod tests {
 
     fn solve(g: &Graph) -> Vec<bool> {
         let mut st = vec![UNDECIDED; g.num_vertices()];
-        oriented_mis_extend(g, EdgeView::full(), &mut st, None, &Counters::new());
+        oriented_mis_extend(
+            g,
+            EdgeView::full(),
+            &mut st,
+            None,
+            &Counters::new(),
+            FrontierMode::default(),
+        );
         assert!(st.iter().all(|&s| s != UNDECIDED), "all must be decided");
         st.iter().map(|&s| s == IN).collect()
     }
@@ -350,6 +348,7 @@ mod tests {
             &mut st,
             Some(&allowed),
             &Counters::new(),
+            FrontierMode::default(),
         );
         assert_eq!(st[0], IN);
         assert_eq!(st[4], UNDECIDED, "masked vertex untouched");

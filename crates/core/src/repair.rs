@@ -1,11 +1,11 @@
 //! Incremental solution repair for dynamic graphs.
 //!
 //! Given a base graph, an [`EditLog`], and a *valid, maximal* prior
-//! solution for the base, each `repair_*` entry point produces a valid,
-//! maximal solution for the *edited* graph by touching only the
-//! neighborhood of the edits — never rebuilding the CSR (all structure
-//! reads go through the zero-rebuild [`sb_graph::editlog::Overlay`]) and never re-running
-//! the global round loops. This is the regime where greedy local
+//! solution for the base, [`repair`] produces a valid, maximal solution
+//! for the *edited* graph by touching only the neighborhood of the edits
+//! — never rebuilding the CSR (all structure reads go through the
+//! zero-rebuild [`sb_graph::editlog::Overlay`]) and never re-running the
+//! global round loops. This is the regime where greedy local
 //! re-election is provably shallow (Blelloch–Fineman–Shun) and the
 //! affected radius is bounded (Barenboim–Elkin–Pettie–Schneider): repair
 //! cost scales with the edit batch, not the graph.
@@ -35,26 +35,47 @@
 //!   and a recolor chosen conflict-free stays conflict-free.
 
 use crate::coloring::ColoringRun;
-use crate::common::{counters_for_opts, RunStats, SolveOpts};
+use crate::common::{RunStats, SolveOpts};
 use crate::matching::MatchingRun;
 use crate::mis::MisRun;
+use crate::solver::Solution;
 use sb_graph::csr::{Graph, INVALID};
 use sb_graph::editlog::EditLog;
 use sb_par::counters::Stopwatch;
 use std::time::Duration;
+
+/// Repair `prior`, a valid maximal solution of `base`, into one of
+/// `edits.materialize(base)` — the one dispatch on the problem for the
+/// incremental path (the solution's variant names the family).
+pub fn repair(
+    base: &Graph,
+    edits: &EditLog,
+    prior: &Solution,
+    opts: &SolveOpts,
+) -> (Solution, RunStats) {
+    match prior {
+        Solution::Mate(mate) => {
+            let run = repair_matching(base, edits, mate, opts);
+            (Solution::Mate(run.mate), run.stats)
+        }
+        Solution::Color(color) => {
+            let run = repair_coloring(base, edits, color, opts);
+            (Solution::Color(run.color), run.stats)
+        }
+        Solution::Set(in_set) => {
+            let run = repair_mis(base, edits, in_set, opts);
+            (Solution::Set(run.in_set), run.stats)
+        }
+    }
+}
 
 /// Repair a maximal matching after `edits`.
 ///
 /// `prior` must be a valid maximal matching of `base` (`mate[v]` is
 /// `v`'s partner or [`INVALID`]); the result is a valid maximal
 /// matching of `edits.materialize(base)`.
-pub fn repair_matching(
-    base: &Graph,
-    edits: &EditLog,
-    prior: &[u32],
-    opts: &SolveOpts,
-) -> MatchingRun {
-    let counters = counters_for_opts(opts);
+fn repair_matching(base: &Graph, edits: &EditLog, prior: &[u32], opts: &SolveOpts) -> MatchingRun {
+    let counters = opts.counters();
     let sw = Stopwatch::start();
     let ov = edits.apply(base);
     let n = ov.num_vertices();
@@ -96,8 +117,8 @@ pub fn repair_matching(
 ///
 /// `prior` must be a valid maximal independent set of `base`; the result
 /// is a valid MIS of `edits.materialize(base)`.
-pub fn repair_mis(base: &Graph, edits: &EditLog, prior: &[bool], opts: &SolveOpts) -> MisRun {
-    let counters = counters_for_opts(opts);
+fn repair_mis(base: &Graph, edits: &EditLog, prior: &[bool], opts: &SolveOpts) -> MisRun {
+    let counters = opts.counters();
     let sw = Stopwatch::start();
     let ov = edits.apply(base);
     let n = ov.num_vertices();
@@ -147,13 +168,8 @@ pub fn repair_mis(base: &Graph, edits: &EditLog, prior: &[bool], opts: &SolveOpt
 /// `prior` must be a proper coloring of `base`; the result is a proper
 /// coloring of `edits.materialize(base)`. The palette extends implicitly
 /// when a conflicted vertex has no free color among the existing ones.
-pub fn repair_coloring(
-    base: &Graph,
-    edits: &EditLog,
-    prior: &[u32],
-    opts: &SolveOpts,
-) -> ColoringRun {
-    let counters = counters_for_opts(opts);
+fn repair_coloring(base: &Graph, edits: &EditLog, prior: &[u32], opts: &SolveOpts) -> ColoringRun {
+    let counters = opts.counters();
     let sw = Stopwatch::start();
     let ov = edits.apply(base);
     let n = ov.num_vertices();
@@ -208,6 +224,7 @@ pub fn repair_coloring(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::Algo;
     use crate::verify::{
         check_coloring, check_maximal_independent_set, check_maximal_matching, matching_cardinality,
     };
@@ -246,7 +263,14 @@ mod tests {
     #[test]
     fn matching_repair_valid_and_maximal() {
         let g = base_graph();
-        let prior = matching::maximal_matching(&g, matching::MmAlgorithm::Baseline, Arch::Cpu, 3);
+        let prior = matching::maximal_matching(
+            &g,
+            Algo::Baseline,
+            None,
+            Arch::Cpu,
+            3,
+            &SolveOpts::default(),
+        );
         check_maximal_matching(&g, &prior.mate).unwrap();
         let log = edit_script();
         let repaired = repair_matching(&g, &log, &prior.mate, &SolveOpts::default());
@@ -258,8 +282,14 @@ mod tests {
     #[test]
     fn mis_repair_valid_and_maximal() {
         let g = base_graph();
-        let prior =
-            mis::maximal_independent_set(&g, mis::MisAlgorithm::Baseline, Arch::Cpu, 3);
+        let prior = mis::maximal_independent_set(
+            &g,
+            Algo::Baseline,
+            None,
+            Arch::Cpu,
+            3,
+            &SolveOpts::default(),
+        );
         check_maximal_independent_set(&g, &prior.in_set).unwrap();
         let log = edit_script();
         let repaired = repair_mis(&g, &log, &prior.in_set, &SolveOpts::default());
@@ -270,8 +300,14 @@ mod tests {
     #[test]
     fn coloring_repair_proper() {
         let g = base_graph();
-        let prior =
-            coloring::vertex_coloring(&g, coloring::ColorAlgorithm::Baseline, Arch::Cpu, 3);
+        let prior = coloring::vertex_coloring(
+            &g,
+            Algo::Baseline,
+            None,
+            Arch::Cpu,
+            3,
+            &SolveOpts::default(),
+        );
         check_coloring(&g, &prior.color).unwrap();
         let log = edit_script();
         let repaired = repair_coloring(&g, &log, &prior.color, &SolveOpts::default());
@@ -284,17 +320,38 @@ mod tests {
     fn empty_log_is_identity() {
         let g = base_graph();
         let log = EditLog::new();
-        let pm = matching::maximal_matching(&g, matching::MmAlgorithm::Baseline, Arch::Cpu, 1);
+        let pm = matching::maximal_matching(
+            &g,
+            Algo::Baseline,
+            None,
+            Arch::Cpu,
+            1,
+            &SolveOpts::default(),
+        );
         assert_eq!(
             repair_matching(&g, &log, &pm.mate, &SolveOpts::default()).mate,
             pm.mate
         );
-        let ps = mis::maximal_independent_set(&g, mis::MisAlgorithm::Baseline, Arch::Cpu, 1);
+        let ps = mis::maximal_independent_set(
+            &g,
+            Algo::Baseline,
+            None,
+            Arch::Cpu,
+            1,
+            &SolveOpts::default(),
+        );
         assert_eq!(
             repair_mis(&g, &log, &ps.in_set, &SolveOpts::default()).in_set,
             ps.in_set
         );
-        let pc = coloring::vertex_coloring(&g, coloring::ColorAlgorithm::Baseline, Arch::Cpu, 1);
+        let pc = coloring::vertex_coloring(
+            &g,
+            Algo::Baseline,
+            None,
+            Arch::Cpu,
+            1,
+            &SolveOpts::default(),
+        );
         assert_eq!(
             repair_coloring(&g, &log, &pc.color, &SolveOpts::default()).color,
             pc.color
@@ -308,7 +365,14 @@ mod tests {
         let n = 10_000u32;
         let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         let g = from_edge_list(n as usize, &edges);
-        let prior = mis::maximal_independent_set(&g, mis::MisAlgorithm::Baseline, Arch::Cpu, 5);
+        let prior = mis::maximal_independent_set(
+            &g,
+            Algo::Baseline,
+            None,
+            Arch::Cpu,
+            5,
+            &SolveOpts::default(),
+        );
         let mut log = EditLog::new();
         log.add_edge(0, 2);
         let repaired = repair_mis(&g, &log, &prior.in_set, &SolveOpts::default());

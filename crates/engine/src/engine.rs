@@ -1,23 +1,17 @@
-//! The engine proper: graph sources, decomposition specs, the two LRU
-//! caches, and the cached solve path.
+//! The engine proper: graph sources, the two LRU caches, and the cached
+//! solve path.
 
 use crate::cache::{CacheStats, Lru};
 use crate::fingerprint::{self, fingerprint_graph, fingerprint_with_edits_from};
-use sb_core::coloring::{decomp as color_decomp, ColorAlgorithm};
-use sb_core::common::{Arch, FrontierMode, RunStats, SolveOpts};
-use sb_core::matching::{decomp as mm_decomp, MmAlgorithm};
-use sb_core::mis::{decomp as mis_decomp, MisAlgorithm};
-use sb_core::verify;
+use sb_core::common::{Arch, RunStats, SolveOpts};
+use sb_core::solver::{self, Algo, Decomposition, Solution, Solver};
 use sb_datasets::suite::{generate, spec, GraphId, Scale};
-use sb_decompose::bicc::{decompose_bicc, BiccDecomposition};
-use sb_decompose::bridge::{decompose_bridge, BridgeDecomposition};
-use sb_decompose::degk::{decompose_degk, DegkDecomposition};
-use sb_decompose::rand_part::{decompose_rand, RandDecomposition};
-use sb_graph::csr::{Graph, INVALID};
+use sb_decompose::degk::DegkDecomposition;
+use sb_decompose::rand_part::RandDecomposition;
+use sb_graph::csr::Graph;
 use sb_graph::editlog::{EditLog, Overlay};
 use sb_par::counters::{Counters, Stopwatch};
 use sb_par::rng::{bounded, hash2};
-use sb_trace::TraceSink;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -148,222 +142,27 @@ impl GraphSource {
     }
 }
 
-/// Which decomposition a solver runs over — the cacheable part of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DecompSpec {
-    /// Baseline solvers: nothing to decompose or cache.
-    None,
-    /// BRIDGE (2-edge-connected components).
-    Bridge,
-    /// RAND with the given partition count (seed-dependent).
-    Rand {
-        /// Partition count.
-        partitions: usize,
-    },
-    /// DEGk with the given degree threshold.
-    Degk {
-        /// Degree threshold.
-        k: usize,
-    },
-    /// BICC (block decomposition).
-    Bicc,
-}
-
-impl DecompSpec {
-    /// Whether the decomposition depends on the solver seed (only RAND's
-    /// partition assignment does). Seed-independent specs normalize the
-    /// seed component of their cache key to 0 so all seeds share.
-    pub fn uses_seed(self) -> bool {
-        matches!(self, DecompSpec::Rand { .. })
-    }
-
-    /// Short label (`bridge`, `rand:10`, …) for keys and reports.
-    pub fn label(self) -> String {
-        match self {
-            DecompSpec::None => "-".into(),
-            DecompSpec::Bridge => "bridge".into(),
-            DecompSpec::Rand { partitions } => format!("rand:{partitions}"),
-            DecompSpec::Degk { k } => format!("degk:{k}"),
-            DecompSpec::Bicc => "bicc".into(),
-        }
-    }
-}
-
-/// One problem × algorithm choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Solver {
-    /// Maximal matching.
-    Mm(MmAlgorithm),
-    /// Vertex coloring.
-    Color(ColorAlgorithm),
-    /// Maximal independent set.
-    Mis(MisAlgorithm),
-}
-
-impl Solver {
-    /// The decomposition this solver consumes.
-    pub fn decomp_spec(self) -> DecompSpec {
-        match self {
-            Solver::Mm(MmAlgorithm::Baseline)
-            | Solver::Color(ColorAlgorithm::Baseline)
-            | Solver::Mis(MisAlgorithm::Baseline) => DecompSpec::None,
-            Solver::Mm(MmAlgorithm::Bridge)
-            | Solver::Color(ColorAlgorithm::Bridge)
-            | Solver::Mis(MisAlgorithm::Bridge) => DecompSpec::Bridge,
-            Solver::Mm(MmAlgorithm::Rand { partitions })
-            | Solver::Color(ColorAlgorithm::Rand { partitions })
-            | Solver::Mis(MisAlgorithm::Rand { partitions }) => DecompSpec::Rand { partitions },
-            Solver::Mm(MmAlgorithm::Degk { k })
-            | Solver::Color(ColorAlgorithm::Degk { k })
-            | Solver::Mis(MisAlgorithm::Degk { k }) => DecompSpec::Degk { k },
-            Solver::Mm(MmAlgorithm::Bicc)
-            | Solver::Color(ColorAlgorithm::Bicc)
-            | Solver::Mis(MisAlgorithm::Bicc) => DecompSpec::Bicc,
-        }
-    }
-
-    /// Label like `mm-rand:10`.
-    pub fn label(self) -> String {
-        let (problem, spec) = match self {
-            Solver::Mm(_) => ("mm", self.decomp_spec()),
-            Solver::Color(_) => ("color", self.decomp_spec()),
-            Solver::Mis(_) => ("mis", self.decomp_spec()),
-        };
-        match spec {
-            DecompSpec::None => format!("{problem}-baseline"),
-            s => format!("{problem}-{}", s.label()),
-        }
-    }
-}
-
-/// A memoized decomposition, shared by reference between cache and jobs.
-#[derive(Debug)]
-pub enum CachedDecomposition {
-    /// BRIDGE result.
-    Bridge(BridgeDecomposition),
-    /// RAND result.
-    Rand(RandDecomposition),
-    /// DEGk result.
-    Degk(DegkDecomposition),
-    /// BICC result.
-    Bicc(BiccDecomposition),
-}
-
-impl CachedDecomposition {
-    /// Estimated resident size for the cache bytes gauge. The per-edge
-    /// class vector dominates every variant; auxiliary component tables
-    /// are the same order and not worth itemizing.
-    pub fn approx_bytes(&self) -> u64 {
-        match self {
-            CachedDecomposition::Bridge(d) => (d.class.len() + 4 * d.bridges.len()) as u64,
-            CachedDecomposition::Rand(d) => d.class.len() as u64,
-            CachedDecomposition::Degk(d) => d.class.len() as u64,
-            CachedDecomposition::Bicc(d) => d.is_articulation.len() as u64,
-        }
-    }
-}
-
-/// Resident size of a parsed graph for cache weighting. Heap graphs
-/// charge their full CSR arrays; graphs mapped from a `.sbg` charge only
-/// the struct header and resident metadata — their array bytes are page
-/// cache against the file, reclaimable by the kernel, so weighting them
-/// into tenant quotas would double-count memory nobody holds. (This is
-/// exactly [`Graph::resident_bytes`]; the wrapper keeps the engine's
-/// historical name and u64 domain.)
-pub(crate) fn graph_approx_bytes(g: &Graph) -> u64 {
-    g.resident_bytes() as u64
-}
-
 /// Decomposition-cache key: graph content, decomposition, params, seed.
+/// The algorithm names the decomposition, so every problem family's
+/// composite of one kind shares the entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DecompKey {
     /// Seeded content fingerprint of the graph.
     pub fingerprint: u64,
-    /// Decomposition and its parameters.
-    pub spec: DecompSpec,
-    /// Solver seed for seed-dependent specs, 0 otherwise.
+    /// The decomposing algorithm and its parameters (never the baseline).
+    pub algo: Algo,
+    /// Solver seed for seed-dependent decompositions, 0 otherwise.
     pub seed: u64,
 }
 
 impl DecompKey {
-    /// The key for `spec` on the graph with `fingerprint` at `seed`.
-    pub fn new(fingerprint: u64, spec: DecompSpec, seed: u64) -> DecompKey {
+    /// The key for `algo`'s decomposition of the graph with `fingerprint`
+    /// at `seed`.
+    pub fn new(fingerprint: u64, algo: Algo, seed: u64) -> DecompKey {
         DecompKey {
             fingerprint,
-            spec,
-            seed: if spec.uses_seed() { seed } else { 0 },
-        }
-    }
-}
-
-/// A solver output in family-agnostic form, rendered and compared
-/// byte-for-byte across cached and fresh paths.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Solution {
-    /// `mate[v]` per vertex (matching).
-    Mate(Vec<u32>),
-    /// Color per vertex.
-    Color(Vec<u32>),
-    /// In-set flag per vertex (MIS).
-    Set(Vec<bool>),
-}
-
-impl Solution {
-    /// Canonical text rendering — the same format `sbreak solve -o` writes,
-    /// so batch outputs diff cleanly against single-shot runs.
-    pub fn render(&self) -> String {
-        match self {
-            Solution::Mate(mate) => mate
-                .iter()
-                .enumerate()
-                .filter(|&(v, &m)| (m as usize) > v && m != INVALID)
-                .map(|(v, &m)| format!("{v} {m}\n"))
-                .collect(),
-            Solution::Color(color) => color
-                .iter()
-                .enumerate()
-                .map(|(v, c)| format!("{v} {c}\n"))
-                .collect(),
-            Solution::Set(in_set) => in_set
-                .iter()
-                .enumerate()
-                .filter(|&(_, &b)| b)
-                .map(|(v, _)| format!("{v}\n"))
-                .collect(),
-        }
-    }
-
-    /// Check the solution against the sequential oracles.
-    pub fn verify(&self, g: &Graph) -> Result<(), String> {
-        match self {
-            Solution::Mate(mate) => {
-                verify::check_maximal_matching(g, mate).map_err(|e| e.to_string())
-            }
-            Solution::Color(color) => verify::check_coloring(g, color).map_err(|e| e.to_string()),
-            Solution::Set(in_set) => {
-                verify::check_maximal_independent_set(g, in_set).map_err(|e| e.to_string())
-            }
-        }
-    }
-
-    /// One-phrase result summary for reports.
-    pub fn summary(&self) -> String {
-        match self {
-            Solution::Mate(mate) => format!(
-                "matching of {} edges",
-                sb_core::verify::matching_cardinality(mate)
-            ),
-            Solution::Color(color) => {
-                let colors = color
-                    .iter()
-                    .filter(|&&c| c != INVALID)
-                    .max()
-                    .map_or(0, |&c| c as usize + 1);
-                format!("{colors} colors")
-            }
-            Solution::Set(in_set) => {
-                format!("MIS of {} vertices", in_set.iter().filter(|&&b| b).count())
-            }
+            algo,
+            seed: if algo.uses_seed() { seed } else { 0 },
         }
     }
 }
@@ -406,12 +205,12 @@ pub struct SolveOutcome {
 }
 
 /// The multi-tenant batch-solve engine: two bounded LRUs (parsed graphs by
-/// source key; decompositions by `(fingerprint, spec, params, seed)`) and
+/// source key; decompositions by `(fingerprint, algorithm, seed)`) and
 /// the scheduling machinery in [`crate::batch`].
 pub struct Engine {
     pub(crate) fingerprint_seed: u64,
     pub(crate) graphs: Lru<String, (Arc<Graph>, u64)>,
-    pub(crate) decomps: Lru<DecompKey, Arc<CachedDecomposition>>,
+    pub(crate) decomps: Lru<DecompKey, Arc<Decomposition>>,
 }
 
 impl Engine {
@@ -455,7 +254,7 @@ impl Engine {
         }
         let g = Arc::new(src.load()?);
         let fp = fingerprint_graph(&g, self.fingerprint_seed);
-        let bytes = graph_approx_bytes(&g);
+        let bytes = g.resident_bytes() as u64;
         self.graphs.insert_weighted(key, (g.clone(), fp), bytes);
         Ok((g, fp, false))
     }
@@ -479,8 +278,9 @@ impl Engine {
     /// [`Engine::solve_on`] with the graph's cache fingerprint supplied by
     /// the caller instead of recomputed. This is how edited graphs keep
     /// their `(base, edit log)` identity: [`Engine::apply_edits`] keys its
-    /// patched decompositions under [`fingerprint_with_edits`], and solves
-    /// against the materialized graph must probe under that same key (the
+    /// patched decompositions under
+    /// [`crate::fingerprint::fingerprint_with_edits`], and solves against
+    /// the materialized graph must probe under that same key (the
     /// heap content hash of the materialized CSR would both miss the
     /// patched entries and cost O(m) on every call).
     pub fn solve_on_fingerprinted(
@@ -492,27 +292,29 @@ impl Engine {
         seed: u64,
         opts: &SolveOpts,
     ) -> SolveOutcome {
-        let spec = solver.decomp_spec();
-        if spec == DecompSpec::None {
-            let (solution, stats) = run_solver(g, solver, None, arch, seed, opts);
+        if solver.algo == Algo::Baseline {
+            let (solution, stats) = solver::solve(g, solver, None, arch, seed, opts);
             return SolveOutcome {
                 solution,
                 stats,
                 decomp_cached: None,
             };
         }
-        let key = DecompKey::new(fp, spec, seed);
+        let key = DecompKey::new(fp, solver.algo, seed);
         let (d, cached, decompose_time) = match self.decomps.get(&key) {
             Some(d) => (d.clone(), true, Duration::ZERO),
             None => {
-                let (d, dt) = compute_decomposition(g, spec, seed, opts.trace.clone());
-                let d = Arc::new(d);
+                // Counted apart from the solve (into the same trace sink),
+                // so the run's stats cover the solve phases only.
+                let sw = Stopwatch::start();
+                let d = Decomposition::compute(g, solver.algo, seed, &opts.counters());
+                let d = Arc::new(d.expect("a decomposing algorithm"));
                 let bytes = d.approx_bytes();
                 self.decomps.insert_weighted(key, d.clone(), bytes);
-                (d, false, dt)
+                (d, false, sw.elapsed())
             }
         };
-        let (solution, mut stats) = run_solver(g, solver, Some(&d), arch, seed, opts);
+        let (solution, mut stats) = solver::solve(g, solver, Some(&d), arch, seed, opts);
         stats.decompose_time = decompose_time;
         SolveOutcome {
             solution,
@@ -590,17 +392,17 @@ impl Engine {
             if old_key.fingerprint != base_fp {
                 continue;
             }
-            let new_key = DecompKey::new(fp, old_key.spec, old_key.seed);
+            let new_key = DecompKey::new(fp, old_key.algo, old_key.seed);
             let Some(old) = self.decomps.get(&old_key).cloned() else {
                 continue;
             };
-            let patched = patch_decomposition(&old, &overlay, &edited, old_key.spec, old_key.seed);
+            let patched = patch_decomposition(&old, &overlay, &edited, old_key.algo, old_key.seed);
             let bytes = patched.approx_bytes();
             self.decomps
                 .insert_weighted_for(tenant, new_key, Arc::new(patched), bytes);
             decomps_patched += 1;
         }
-        let bytes = graph_approx_bytes(&edited);
+        let bytes = edited.resident_bytes() as u64;
         self.graphs
             .insert_weighted_for(tenant, key, (edited.clone(), fp), bytes);
         EditOutcome {
@@ -628,22 +430,22 @@ impl Engine {
                 continue;
             };
             match d {
-                CachedDecomposition::Bridge(b) => {
+                Decomposition::Bridge(b) => {
                     for c in &mut b.class {
                         *c ^= 1;
                     }
                 }
-                CachedDecomposition::Rand(r) => {
+                Decomposition::Rand(r) => {
                     for c in &mut r.class {
                         *c ^= 1;
                     }
                 }
-                CachedDecomposition::Degk(d) => {
+                Decomposition::Degk(d) => {
                     for c in &mut d.class {
                         *c = (*c + 1) % 3;
                     }
                 }
-                CachedDecomposition::Bicc(b) => {
+                Decomposition::Bicc(b) => {
                     for a in &mut b.is_articulation {
                         *a = !*a;
                     }
@@ -679,15 +481,15 @@ pub struct EditOutcome {
 /// array cannot be spliced, but deriving a class from two vertex flags is
 /// O(1) per edge with no graph traversal. BRIDGE and BICC recompute.
 fn patch_decomposition(
-    old: &CachedDecomposition,
+    old: &Decomposition,
     overlay: &Overlay<'_>,
     edited: &Graph,
-    spec: DecompSpec,
+    algo: Algo,
     seed: u64,
-) -> CachedDecomposition {
+) -> Decomposition {
     let n = edited.num_vertices();
     match old {
-        CachedDecomposition::Degk(old) => {
+        Decomposition::Degk(old) => {
             let k = old.k;
             let mut is_high = old.is_high.clone();
             is_high.resize(n, false);
@@ -707,7 +509,7 @@ fn patch_decomposition(
             for &c in &class {
                 counts[c as usize] += 1;
             }
-            CachedDecomposition::Degk(DegkDecomposition {
+            Decomposition::Degk(DegkDecomposition {
                 k,
                 is_high,
                 class,
@@ -716,13 +518,13 @@ fn patch_decomposition(
                 m_cross: counts[2],
             })
         }
-        CachedDecomposition::Rand(old) => {
+        Decomposition::Rand(old) => {
             let k = old.k;
             let base_n = old.part.len();
             let mut part = old.part.clone();
             part.resize(n, 0);
-            for v in base_n..n {
-                part[v] = bounded(hash2(seed, v as u64), k as u64) as u32;
+            for (v, p) in part.iter_mut().enumerate().skip(base_n) {
+                *p = bounded(hash2(seed, v as u64), k as u64) as u32;
             }
             let class: Vec<u8> = edited
                 .edge_list()
@@ -733,7 +535,7 @@ fn patch_decomposition(
                 .iter()
                 .filter(|&&c| c == RandDecomposition::CROSS)
                 .count();
-            CachedDecomposition::Rand(RandDecomposition {
+            Decomposition::Rand(RandDecomposition {
                 k,
                 part,
                 m_induced: edited.num_edges() - m_cross,
@@ -741,127 +543,18 @@ fn patch_decomposition(
                 class,
             })
         }
-        CachedDecomposition::Bridge(_) | CachedDecomposition::Bicc(_) => {
-            compute_decomposition(edited, spec, seed, None).0
+        Decomposition::Bridge(_) | Decomposition::Bicc(_) => {
+            Decomposition::compute(edited, algo, seed, &Counters::new())
+                .expect("BRIDGE and BICC decompose")
         }
     }
-}
-
-/// Compute the decomposition for `spec`, timing it and charging its work
-/// (and a `decompose` phase span) to the job's trace sink when given.
-pub(crate) fn compute_decomposition(
-    g: &Graph,
-    spec: DecompSpec,
-    seed: u64,
-    trace: Option<Arc<TraceSink>>,
-) -> (CachedDecomposition, Duration) {
-    let counters = match trace {
-        Some(sink) => Counters::with_trace(sink),
-        None => Counters::new(),
-    };
-    let sw = Stopwatch::start();
-    let d = {
-        let _span = counters.phase("decompose");
-        match spec {
-            DecompSpec::None => unreachable!("baselines have no decomposition"),
-            DecompSpec::Bridge => CachedDecomposition::Bridge(decompose_bridge(g, &counters)),
-            DecompSpec::Rand { partitions } => {
-                CachedDecomposition::Rand(decompose_rand(g, partitions, seed, &counters))
-            }
-            DecompSpec::Degk { k } => CachedDecomposition::Degk(decompose_degk(g, k, &counters)),
-            DecompSpec::Bicc => CachedDecomposition::Bicc(decompose_bicc(g, &counters)),
-        }
-    };
-    (d, sw.elapsed())
-}
-
-/// Dispatch `solver` against a precomputed decomposition (or none for
-/// baselines). The `*_with` entry points guarantee the output is
-/// byte-identical to the decompose-inline `*_opts` path.
-pub(crate) fn run_solver(
-    g: &Graph,
-    solver: Solver,
-    d: Option<&CachedDecomposition>,
-    arch: Arch,
-    seed: u64,
-    opts: &SolveOpts,
-) -> (Solution, RunStats) {
-    use CachedDecomposition as D;
-    match (solver, d) {
-        (Solver::Mm(MmAlgorithm::Baseline), None) => {
-            let run = mm_decomp::baseline_run_opts(g, arch, seed, opts);
-            (Solution::Mate(run.mate), run.stats)
-        }
-        (Solver::Mm(MmAlgorithm::Bridge), Some(D::Bridge(d))) => {
-            let run = mm_decomp::mm_bridge_with(g, d, arch, seed, opts);
-            (Solution::Mate(run.mate), run.stats)
-        }
-        (Solver::Mm(MmAlgorithm::Rand { .. }), Some(D::Rand(d))) => {
-            let run = mm_decomp::mm_rand_with(g, d, arch, seed, opts);
-            (Solution::Mate(run.mate), run.stats)
-        }
-        (Solver::Mm(MmAlgorithm::Degk { .. }), Some(D::Degk(d))) => {
-            let run = mm_decomp::mm_degk_with(g, d, arch, seed, opts);
-            (Solution::Mate(run.mate), run.stats)
-        }
-        (Solver::Mm(MmAlgorithm::Bicc), Some(D::Bicc(d))) => {
-            let run = mm_decomp::mm_bicc_with(g, d, arch, seed, opts);
-            (Solution::Mate(run.mate), run.stats)
-        }
-        (Solver::Color(ColorAlgorithm::Baseline), None) => {
-            let run = color_decomp::baseline_run_opts(g, arch, seed, opts);
-            (Solution::Color(run.color), run.stats)
-        }
-        (Solver::Color(ColorAlgorithm::Bridge), Some(D::Bridge(d))) => {
-            let run = color_decomp::color_bridge_with(g, d, arch, seed, opts);
-            (Solution::Color(run.color), run.stats)
-        }
-        (Solver::Color(ColorAlgorithm::Rand { .. }), Some(D::Rand(d))) => {
-            let run = color_decomp::color_rand_with(g, d, arch, seed, opts);
-            (Solution::Color(run.color), run.stats)
-        }
-        (Solver::Color(ColorAlgorithm::Degk { .. }), Some(D::Degk(d))) => {
-            let run = color_decomp::color_degk_with(g, d, arch, seed, opts);
-            (Solution::Color(run.color), run.stats)
-        }
-        (Solver::Color(ColorAlgorithm::Bicc), Some(D::Bicc(d))) => {
-            let run = color_decomp::color_bicc_with(g, d, arch, seed, opts);
-            (Solution::Color(run.color), run.stats)
-        }
-        (Solver::Mis(MisAlgorithm::Baseline), None) => {
-            let run = mis_decomp::baseline_run_opts(g, arch, seed, opts);
-            (Solution::Set(run.in_set), run.stats)
-        }
-        (Solver::Mis(MisAlgorithm::Bridge), Some(D::Bridge(d))) => {
-            let run = mis_decomp::mis_bridge_with(g, d, arch, seed, opts);
-            (Solution::Set(run.in_set), run.stats)
-        }
-        (Solver::Mis(MisAlgorithm::Rand { .. }), Some(D::Rand(d))) => {
-            let run = mis_decomp::mis_rand_with(g, d, arch, seed, opts);
-            (Solution::Set(run.in_set), run.stats)
-        }
-        (Solver::Mis(MisAlgorithm::Degk { .. }), Some(D::Degk(d))) => {
-            let run = mis_decomp::mis_degk_with(g, d, arch, seed, opts);
-            (Solution::Set(run.in_set), run.stats)
-        }
-        (Solver::Mis(MisAlgorithm::Bicc), Some(D::Bicc(d))) => {
-            let run = mis_decomp::mis_bicc_with(g, d, arch, seed, opts);
-            (Solution::Set(run.in_set), run.stats)
-        }
-        (solver, _) => unreachable!("solver {solver:?} paired with wrong decomposition"),
-    }
-}
-
-/// Parse an `sbreak`-style `--frontier` value.
-pub fn parse_frontier(s: &str) -> Result<FrontierMode, String> {
-    s.parse()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_core::matching::maximal_matching_opts;
-    use sb_core::mis::maximal_independent_set_opts;
+    use sb_core::common::FrontierMode;
+    use sb_core::solver::Problem;
     use sb_graph::builder::from_edge_list;
 
     fn chain_graph(n: u32) -> Arc<Graph> {
@@ -869,70 +562,44 @@ mod tests {
         Arc::new(from_edge_list(n as usize, &edges))
     }
 
-    fn all_solvers() -> Vec<Solver> {
-        let mut v = Vec::new();
-        for p in 0..3 {
-            for a in 0..5 {
-                v.push(match (p, a) {
-                    (0, 0) => Solver::Mm(MmAlgorithm::Baseline),
-                    (0, 1) => Solver::Mm(MmAlgorithm::Bridge),
-                    (0, 2) => Solver::Mm(MmAlgorithm::Rand { partitions: 3 }),
-                    (0, 3) => Solver::Mm(MmAlgorithm::Degk { k: 2 }),
-                    (0, 4) => Solver::Mm(MmAlgorithm::Bicc),
-                    (1, 0) => Solver::Color(ColorAlgorithm::Baseline),
-                    (1, 1) => Solver::Color(ColorAlgorithm::Bridge),
-                    (1, 2) => Solver::Color(ColorAlgorithm::Rand { partitions: 3 }),
-                    (1, 3) => Solver::Color(ColorAlgorithm::Degk { k: 2 }),
-                    (1, 4) => Solver::Color(ColorAlgorithm::Bicc),
-                    (2, 0) => Solver::Mis(MisAlgorithm::Baseline),
-                    (2, 1) => Solver::Mis(MisAlgorithm::Bridge),
-                    (2, 2) => Solver::Mis(MisAlgorithm::Rand { partitions: 3 }),
-                    (2, 3) => Solver::Mis(MisAlgorithm::Degk { k: 2 }),
-                    _ => Solver::Mis(MisAlgorithm::Bicc),
-                });
-            }
-        }
-        v
+    fn by_label(label: &str) -> Solver {
+        label.parse().unwrap()
     }
 
     #[test]
     fn cached_path_matches_direct_opts_path_bytewise() {
         // The core byte-identity contract: engine (fresh miss, then cache
-        // hit) == the plain *_opts composite, for every solver family.
+        // hit) == the family entry point decomposing inline, for every
+        // solver family on both archs in every frontier mode.
         let g = chain_graph(40);
-        let opts = SolveOpts::default();
-        for solver in all_solvers() {
-            let mut engine = Engine::with_cap(8);
-            let fresh = engine.solve_on(&g, solver, Arch::Cpu, 7, &opts);
-            let hit = engine.solve_on(&g, solver, Arch::Cpu, 7, &opts);
-            assert_eq!(
-                fresh.solution,
-                hit.solution,
-                "cache hit diverged for {}",
-                solver.label()
-            );
-            if solver.decomp_spec() != DecompSpec::None {
-                assert_eq!(fresh.decomp_cached, Some(false));
-                assert_eq!(hit.decomp_cached, Some(true));
+        for problem in Problem::ALL {
+            for algo in Algo::all(3, 2) {
+                let solver = Solver { problem, algo };
+                for arch in [Arch::Cpu, Arch::GpuSim] {
+                    for mode in [
+                        FrontierMode::Dense,
+                        FrontierMode::Compact,
+                        FrontierMode::Bitset,
+                    ] {
+                        let opts = SolveOpts::with_mode(mode);
+                        let tag = format!("{}@{arch}/{mode}", solver.label());
+                        let mut engine = Engine::with_cap(8);
+                        let fresh = engine.solve_on(&g, solver, arch, 7, &opts);
+                        let hit = engine.solve_on(&g, solver, arch, 7, &opts);
+                        assert_eq!(fresh.solution, hit.solution, "cache hit diverged for {tag}");
+                        if algo != Algo::Baseline {
+                            assert_eq!(fresh.decomp_cached, Some(false));
+                            assert_eq!(hit.decomp_cached, Some(true));
+                        }
+                        let (direct, _) = solver::solve(&g, solver, None, arch, 7, &opts);
+                        assert_eq!(
+                            fresh.solution, direct,
+                            "engine output differs from the inline path for {tag}"
+                        );
+                        fresh.solution.verify(&g).unwrap();
+                    }
+                }
             }
-            let direct: Solution = match solver {
-                Solver::Mm(a) => {
-                    Solution::Mate(maximal_matching_opts(&g, a, Arch::Cpu, 7, &opts).mate)
-                }
-                Solver::Color(a) => Solution::Color(
-                    sb_core::coloring::vertex_coloring_opts(&g, a, Arch::Cpu, 7, &opts).color,
-                ),
-                Solver::Mis(a) => {
-                    Solution::Set(maximal_independent_set_opts(&g, a, Arch::Cpu, 7, &opts).in_set)
-                }
-            };
-            assert_eq!(
-                fresh.solution,
-                direct,
-                "engine output differs from composite for {}",
-                solver.label()
-            );
-            fresh.solution.verify(&g).unwrap();
         }
     }
 
@@ -943,20 +610,8 @@ mod tests {
         let g = chain_graph(64);
         let mut engine = Engine::with_cap(8);
         let opts = SolveOpts::default();
-        let a = engine.solve_on(
-            &g,
-            Solver::Color(ColorAlgorithm::Degk { k: 2 }),
-            Arch::Cpu,
-            5,
-            &opts,
-        );
-        let b = engine.solve_on(
-            &g,
-            Solver::Mis(MisAlgorithm::Degk { k: 2 }),
-            Arch::Cpu,
-            5,
-            &opts,
-        );
+        let a = engine.solve_on(&g, by_label("color-degk:2"), Arch::Cpu, 5, &opts);
+        let b = engine.solve_on(&g, by_label("mis-degk:2"), Arch::Cpu, 5, &opts);
         assert_eq!(a.decomp_cached, Some(false));
         assert_eq!(b.decomp_cached, Some(true), "DEGk must be shared");
         b.solution.verify(&g).unwrap();
@@ -967,7 +622,7 @@ mod tests {
         let g = chain_graph(64);
         let mut engine = Engine::with_cap(8);
         let opts = SolveOpts::default();
-        let solver = Solver::Mm(MmAlgorithm::Rand { partitions: 4 });
+        let solver = by_label("mm-rand:4");
         assert_eq!(
             engine
                 .solve_on(&g, solver, Arch::Cpu, 1, &opts)
@@ -982,7 +637,7 @@ mod tests {
             "different seed must not hit RAND's cache entry"
         );
         // Seed-independent DEGk: different seeds share.
-        let dk = Solver::Mm(MmAlgorithm::Degk { k: 2 });
+        let dk = by_label("mm-degk:2");
         assert_eq!(
             engine.solve_on(&g, dk, Arch::Cpu, 1, &opts).decomp_cached,
             Some(false)
@@ -998,7 +653,7 @@ mod tests {
         let g = chain_graph(32);
         let mut engine = Engine::with_cap(0);
         let opts = SolveOpts::default();
-        let solver = Solver::Mis(MisAlgorithm::Degk { k: 2 });
+        let solver = by_label("mis-degk:2");
         let a = engine.solve_on(&g, solver, Arch::Cpu, 3, &opts);
         let b = engine.solve_on(&g, solver, Arch::Cpu, 3, &opts);
         assert_eq!(a.decomp_cached, Some(false));
@@ -1015,7 +670,7 @@ mod tests {
         edges.extend((0..n).map(|i| (i, (i * 7 + 3) % n)));
         let g = Arc::new(from_edge_list(n as usize, &edges));
         let opts = SolveOpts::default();
-        let solver = Solver::Color(ColorAlgorithm::Rand { partitions: 3 });
+        let solver = by_label("color-rand:3");
         let mut engine = Engine::with_cap(8);
         let clean = engine.solve_on(&g, solver, Arch::Cpu, 9, &opts);
         assert!(engine.corrupt_cached_decompositions() > 0);
@@ -1081,10 +736,10 @@ mod tests {
         let g = chain_graph(40);
         let opts = SolveOpts::default();
         let solvers = [
-            Solver::Mm(MmAlgorithm::Degk { k: 2 }),
-            Solver::Mm(MmAlgorithm::Rand { partitions: 3 }),
-            Solver::Mis(MisAlgorithm::Bridge),
-            Solver::Color(ColorAlgorithm::Bicc),
+            by_label("mm-degk:2"),
+            by_label("mm-rand:3"),
+            by_label("mis-bridge"),
+            by_label("color-bicc"),
         ];
         let mut engine = Engine::with_cap(16);
         for &s in &solvers {
@@ -1128,7 +783,7 @@ mod tests {
         // fresh engine's solve on the same materialized graph.
         let g = chain_graph(40);
         let opts = SolveOpts::default();
-        let solver = Solver::Mis(MisAlgorithm::Degk { k: 2 });
+        let solver = by_label("mis-degk:2");
         let mut engine = Engine::with_cap(16);
         engine.solve_on(&g, solver, Arch::Cpu, 7, &opts);
 
@@ -1143,8 +798,14 @@ mod tests {
         let hop2 = engine.apply_edits_from("default", &hop1.graph, hop1.fingerprint, &log2);
         assert!(!hop2.graph_cached);
         assert_eq!(hop2.decomps_patched, 1, "hop1's entry follows the rebase");
-        let patched =
-            engine.solve_on_fingerprinted(&hop2.graph, hop2.fingerprint, solver, Arch::Cpu, 7, &opts);
+        let patched = engine.solve_on_fingerprinted(
+            &hop2.graph,
+            hop2.fingerprint,
+            solver,
+            Arch::Cpu,
+            7,
+            &opts,
+        );
         assert_eq!(patched.decomp_cached, Some(true));
         let fresh = Engine::with_cap(0).solve_on(&hop2.graph, solver, Arch::Cpu, 7, &opts);
         assert_eq!(patched.solution, fresh.solution);
@@ -1152,7 +813,8 @@ mod tests {
 
         // An empty log under a precomputed fingerprint is the base
         // itself, with the same identity.
-        let noop = engine.apply_edits_from("default", &hop2.graph, hop2.fingerprint, &EditLog::new());
+        let noop =
+            engine.apply_edits_from("default", &hop2.graph, hop2.fingerprint, &EditLog::new());
         assert!(noop.graph_cached);
         assert_eq!(noop.fingerprint, hop2.fingerprint);
         assert!(Arc::ptr_eq(&noop.graph, &hop2.graph));
@@ -1164,7 +826,7 @@ mod tests {
         let mut engine = Engine::with_cap(8);
         let primed = engine.solve_on(
             &g,
-            Solver::Mis(MisAlgorithm::Degk { k: 2 }),
+            by_label("mis-degk:2"),
             Arch::Cpu,
             3,
             &SolveOpts::default(),
@@ -1179,25 +841,12 @@ mod tests {
         let hit = engine.solve_on_fingerprinted(
             &out.graph,
             out.fingerprint,
-            Solver::Mis(MisAlgorithm::Degk { k: 2 }),
+            by_label("mis-degk:2"),
             Arch::Cpu,
             3,
             &SolveOpts::default(),
         );
         assert_eq!(hit.decomp_cached, Some(true));
         assert_eq!(hit.solution, primed.solution);
-    }
-
-    #[test]
-    fn solver_labels() {
-        assert_eq!(Solver::Mm(MmAlgorithm::Baseline).label(), "mm-baseline");
-        assert_eq!(
-            Solver::Color(ColorAlgorithm::Rand { partitions: 2 }).label(),
-            "color-rand:2"
-        );
-        assert_eq!(
-            Solver::Mis(MisAlgorithm::Degk { k: 2 }).label(),
-            "mis-degk:2"
-        );
     }
 }

@@ -14,7 +14,10 @@
 //! The cached path is byte-identical to the fresh path: solver outputs are
 //! pure functions of `(graph, decomposition, algo, arch, seed, mode)`, and
 //! decompositions are pure functions of `(graph, params, seed)` — the
-//! sb-fuzz engine axis enforces this end to end.
+//! sb-fuzz engine axis enforces this end to end. The solver vocabulary
+//! (`Solver`, `Decomposition`, `Solution`) and the dispatch both come from
+//! `sb_core::solver`; the engine only decides where a decomposition comes
+//! from (its cache or a fresh `Decomposition::compute`).
 //!
 //! Surfaces: `sbreak batch <jobs.toml>` (see [`jobs`] for the file
 //! format), the `table1` bench runner (`results/BENCH_engine.json`), and
@@ -33,7 +36,7 @@ pub mod session;
 
 pub use batch::{run_batch_compare, BatchOptions, JobOutcome, JobRecord};
 pub use cache::CacheStats;
-pub use engine::{DecompSpec, EditOutcome, Engine, EngineConfig, GraphSource, Solution, Solver};
+pub use engine::{EditOutcome, Engine, EngineConfig, GraphSource};
 pub use fingerprint::{fingerprint_graph, fingerprint_with_edits, fingerprint_with_edits_from};
 pub use jobs::{parse_jobs, JobSpec};
 pub use report::BatchReport;

@@ -19,11 +19,12 @@
 //! `sb-metrics`; serialization is hand-rolled here. The `stats` response
 //! body and the loadgen report are schema-pinned by the golden tests.
 
-use crate::jobs::{parse_arch, parse_solver, JobSpec};
+use crate::jobs::JobSpec;
 use crate::{JobOutcome, JobRecord};
-use sb_core::common::FrontierMode;
+use sb_core::common::{Arch, FrontierMode};
+use sb_core::solver::Solver;
 use sb_graph::editlog::EditLog;
-use sb_metrics::{escape_json, parse_json_value, JsonValue};
+use sb_metrics::{escape_json, parse_json_value, JsonValue, MAX_SAFE_JSON_INT};
 
 /// Everything a `solve` request may carry, as raw strings plus defaults —
 /// resolved into a [`JobSpec`] by [`SolveParams::to_job_spec`]. Also the
@@ -86,8 +87,8 @@ impl SolveParams {
 
     /// Resolve the raw fields into an executable [`JobSpec`].
     pub fn to_job_spec(&self) -> Result<JobSpec, String> {
-        let solver = parse_solver(&self.problem, &self.algo)?;
-        let arch = parse_arch(&self.arch)?;
+        let solver = Solver::parse(&self.problem, &self.algo)?;
+        let arch: Arch = self.arch.parse()?;
         let frontier: FrontierMode = self.frontier.parse()?;
         if !(self.scale.is_finite() && self.scale > 0.0) {
             return Err(format!(
@@ -262,12 +263,8 @@ fn want_str(obj: &JsonValue, key: &str) -> Result<Option<String>, String> {
     }
 }
 
-/// The largest integer a JSON number (an f64 on both ends of the wire)
-/// carries exactly. Larger values would round silently, so the protocol
-/// rejects them instead — a solve with a quietly altered seed is worse
-/// than a typed error.
-pub const MAX_SAFE_JSON_INT: u64 = (1 << 53) - 1;
-
+/// An integer field. Values above [`MAX_SAFE_JSON_INT`] are rejected: a
+/// solve with a quietly rounded seed is worse than a typed error.
 fn want_u64(obj: &JsonValue, key: &str) -> Result<Option<u64>, String> {
     match obj.get(key) {
         None => Ok(None),
@@ -431,22 +428,20 @@ pub fn solve_response_json(
     s
 }
 
-/// Response for a completed mutate: the solve response plus the repair
-/// provenance — whether the solution was repaired from the stream's prior
-/// (vs freshly solved to prime it), how many edits this request applied,
-/// the stream's cumulative edit count, and how many cached decompositions
-/// of the base were patched across the edit.
+/// Response for a completed mutate: `solve_response` (the
+/// [`solve_response_json`] of the run) plus the repair provenance — whether
+/// the solution was repaired from the stream's prior (vs freshly solved to
+/// prime it), how many edits this request applied, the stream's cumulative
+/// edit count, and how many cached decompositions of the base were patched
+/// across the edit.
 pub fn mutate_response_json(
-    id: &str,
-    record: &JobRecord,
-    queue_ms: f64,
-    want_solution: bool,
+    solve_response: String,
     repaired: bool,
     edits_applied: u64,
     edits_total: u64,
     decomps_patched: u64,
 ) -> String {
-    let mut s = solve_response_json(id, record, queue_ms, want_solution);
+    let mut s = solve_response;
     s.pop(); // strip the closing brace; the base form is a JSON object
     s += &format!(
         ",\"op\":\"mutate\",\"repaired\":{repaired},\"edits_applied\":{edits_applied},\
@@ -557,8 +552,6 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Solver;
-    use sb_core::matching::MmAlgorithm;
 
     #[test]
     fn solve_roundtrips_through_json() {
@@ -574,7 +567,7 @@ mod tests {
         let parsed = parse_request(&p.to_json()).unwrap();
         assert_eq!(parsed, Request::Solve(Box::new(p.clone())));
         let job = p.to_job_spec().unwrap();
-        assert_eq!(job.solver, Solver::Mm(MmAlgorithm::Rand { partitions: 4 }));
+        assert_eq!(job.solver, "mm-rand:4".parse().unwrap());
         assert_eq!(job.label, "r7");
         assert_eq!(job.scale, 0.25);
         assert_eq!(job.graph_seed, Some(9));
@@ -650,7 +643,13 @@ mod tests {
             fresh_wall_ms: None,
             solution: None,
         };
-        let line = mutate_response_json("m1", &record, 0.1, false, true, 3, 7, 2);
+        let line = mutate_response_json(
+            solve_response_json("m1", &record, 0.1, false),
+            true,
+            3,
+            7,
+            2,
+        );
         let reply = Reply::parse(&line).unwrap();
         assert_eq!(reply.status(), "ok");
         assert_eq!(reply.str_field("op"), Some("mutate"));
@@ -729,7 +728,7 @@ mod tests {
             solve_ms: 1.25,
             wall_ms: 1.5,
             fresh_wall_ms: None,
-            solution: Some(crate::Solution::Mate(vec![1, 0, 3, 2])),
+            solution: Some(sb_core::Solution::Mate(vec![1, 0, 3, 2])),
         };
         let reply = Reply::parse(&solve_response_json("r1", &record, 0.5, true)).unwrap();
         assert_eq!(reply.status(), "ok");

@@ -3,6 +3,7 @@
 
 use crate::batch::{JobOutcome, JobRecord};
 use crate::cache::CacheStats;
+use sb_metrics::escape_json;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
@@ -150,7 +151,7 @@ impl BatchReport {
             stats.misses,
             stats.evictions,
             stats.inserts,
-            json_escape(&stats.hit_rate_label())
+            escape_json(&stats.hit_rate_label())
         )
     }
 
@@ -221,7 +222,7 @@ impl BatchReport {
                 let fields: Vec<String> = RECORD_KEYS
                     .iter()
                     .zip(row)
-                    .map(|(k, c)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(c)))
+                    .map(|(k, c)| format!("\"{}\":\"{}\"", escape_json(k), escape_json(c)))
                     .collect();
                 format!("{{{}}}", fields.join(","))
             })
@@ -229,29 +230,13 @@ impl BatchReport {
         writeln!(
             f,
             "{{\"title\":\"{}\",\"records\":[{}],\"graph_cache\":{},\"decomp_cache\":{}}}",
-            json_escape(REPORT_TITLE),
+            escape_json(REPORT_TITLE),
             records.join(","),
             Self::cache_json(&self.graph_cache),
             Self::cache_json(&self.decomp_cache)
         )
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! no external dependencies, so the whole service builds offline.
 
 use crate::cache::CacheStats;
-use crate::engine::{EngineConfig, GraphSource, Solution, Solver};
+use crate::engine::{EngineConfig, GraphSource};
 use crate::jobs::JobSpec;
 use crate::protocol::{
     ack_response_json, cancel_ack_json, cancelled_response_json, error_response_json,
@@ -30,6 +30,7 @@ use crate::session::{CancelToken, SharedEngine};
 use crate::{JobOutcome, JobRecord};
 use sb_core::common::SolveOpts;
 use sb_core::repair;
+use sb_core::solver::Solution;
 use sb_graph::csr::Graph;
 use sb_graph::editlog::EditLog;
 use sb_par::exec::with_threads;
@@ -566,25 +567,11 @@ impl Shared {
             trace: Some(sink.clone()),
             frontier: job.frontier,
         };
-        // Repair from the prior when the stream has one. The stream key
-        // pins the solver family, so the prior's variant always matches;
-        // the defensive fallback below re-solves rather than panicking a
-        // worker if it ever did not.
-        let repair_run = prev.as_ref().and_then(|st| match (&st.prior, job.solver) {
-            (Solution::Mate(mate), Solver::Mm(_)) => {
-                let r = repair::repair_matching(&st.graph, edits, mate, &opts);
-                Some((Solution::Mate(r.mate), r.stats))
-            }
-            (Solution::Color(color), Solver::Color(_)) => {
-                let r = repair::repair_coloring(&st.graph, edits, color, &opts);
-                Some((Solution::Color(r.color), r.stats))
-            }
-            (Solution::Set(in_set), Solver::Mis(_)) => {
-                let r = repair::repair_mis(&st.graph, edits, in_set, &opts);
-                Some((Solution::Set(r.in_set), r.stats))
-            }
-            _ => None,
-        });
+        // Repair from the prior when the stream has one (the stream key
+        // pins the solver family, and the prior's variant names it).
+        let repair_run = prev
+            .as_ref()
+            .map(|st| repair::repair(&st.graph, edits, &st.prior, &opts));
         let repaired = repair_run.is_some();
         let (solution, stats, decomp_cached) = match repair_run {
             Some((solution, stats)) => (solution, stats, None),
@@ -635,11 +622,14 @@ impl Shared {
             edits_total,
         });
         drop(stream);
-        bump(if repaired {
-            &self.repairs.repaired
-        } else {
-            &self.repairs.fresh
-        }, 1);
+        bump(
+            if repaired {
+                &self.repairs.repaired
+            } else {
+                &self.repairs.fresh
+            },
+            1,
+        );
         bump(&self.repairs.edits_applied, edits.len() as u64);
         bump(&self.repairs.decomps_patched, out.decomps_patched as u64);
         let record = JobRecord {
@@ -676,10 +666,7 @@ impl Shared {
         (
             &self.counts.ok,
             mutate_response_json(
-                &params.id,
-                &record,
-                queue_ms,
-                params.want_solution,
+                solve_response_json(&params.id, &record, queue_ms, params.want_solution),
                 repaired,
                 edits.len() as u64,
                 edits_total,

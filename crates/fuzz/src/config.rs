@@ -2,23 +2,20 @@
 //! labels so counterexample files can name — and replay — the exact
 //! configuration that failed.
 
-use sb_core::coloring::ColorAlgorithm;
-use sb_core::matching::MmAlgorithm;
-use sb_core::mis::MisAlgorithm;
+use sb_core::solver::{Algo, Problem, Solver};
 use sb_core::Arch;
+use std::str::FromStr;
 
-/// One solver configuration: problem family × algorithm × architecture.
+/// One solver configuration: a registry [`Solver`] on one architecture.
 /// Frontier mode and thread count are *not* part of the configuration —
 /// the oracle runs every configuration at dense/compact/bitset × 1/N and
 /// cross-checks, which is the whole point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverConfig {
-    /// Maximal matching.
-    Mm(MmAlgorithm, Arch),
-    /// Maximal independent set.
-    Mis(MisAlgorithm, Arch),
-    /// Vertex coloring.
-    Color(ColorAlgorithm, Arch),
+pub struct SolverConfig {
+    /// Problem × algorithm.
+    pub solver: Solver,
+    /// Architecture.
+    pub arch: Arch,
 }
 
 /// RAND partition count used across the fuzz matrix (small, so tiny
@@ -28,159 +25,38 @@ pub const FUZZ_PARTITIONS: usize = 3;
 pub const FUZZ_K: usize = 2;
 
 impl SolverConfig {
-    /// Every registered configuration: 3 families × 5 algorithms × 2
-    /// architectures = 30, matching the dispatch tables in `sb_core`.
+    /// Every configuration: 3 families × 5 algorithms × 2 architectures =
+    /// 30, swept family by family.
     pub fn all() -> Vec<SolverConfig> {
         let mut v = Vec::with_capacity(30);
-        for arch in [Arch::Cpu, Arch::GpuSim] {
-            v.extend(
-                [
-                    MmAlgorithm::Baseline,
-                    MmAlgorithm::Bridge,
-                    MmAlgorithm::Rand {
-                        partitions: FUZZ_PARTITIONS,
-                    },
-                    MmAlgorithm::Degk { k: FUZZ_K },
-                    MmAlgorithm::Bicc,
-                ]
-                .map(|a| SolverConfig::Mm(a, arch)),
-            );
-        }
-        for arch in [Arch::Cpu, Arch::GpuSim] {
-            v.extend(
-                [
-                    MisAlgorithm::Baseline,
-                    MisAlgorithm::Bridge,
-                    MisAlgorithm::Rand {
-                        partitions: FUZZ_PARTITIONS,
-                    },
-                    MisAlgorithm::Degk { k: FUZZ_K },
-                    MisAlgorithm::Bicc,
-                ]
-                .map(|a| SolverConfig::Mis(a, arch)),
-            );
-        }
-        for arch in [Arch::Cpu, Arch::GpuSim] {
-            v.extend(
-                [
-                    ColorAlgorithm::Baseline,
-                    ColorAlgorithm::Bridge,
-                    ColorAlgorithm::Rand {
-                        partitions: FUZZ_PARTITIONS,
-                    },
-                    ColorAlgorithm::Degk { k: FUZZ_K },
-                    ColorAlgorithm::Bicc,
-                ]
-                .map(|a| SolverConfig::Color(a, arch)),
-            );
+        for problem in [Problem::Mm, Problem::Mis, Problem::Color] {
+            for arch in [Arch::Cpu, Arch::GpuSim] {
+                for algo in Algo::all(FUZZ_PARTITIONS, FUZZ_K) {
+                    let solver = Solver { problem, algo };
+                    v.push(SolverConfig { solver, arch });
+                }
+            }
         }
         v
     }
 
-    /// Architecture of this configuration.
-    pub fn arch(&self) -> Arch {
-        match *self {
-            SolverConfig::Mm(_, a) | SolverConfig::Mis(_, a) | SolverConfig::Color(_, a) => a,
-        }
-    }
-
-    /// Problem family as a short tag.
-    pub fn family(&self) -> &'static str {
-        match self {
-            SolverConfig::Mm(..) => "mm",
-            SolverConfig::Mis(..) => "mis",
-            SolverConfig::Color(..) => "color",
-        }
-    }
-
-    /// Stable label, e.g. `mm-rand3@gpu`. [`SolverConfig::parse`] inverts it.
+    /// Stable label `<solver label>@<arch>`, e.g. `mm-rand:3@gpu`;
+    /// [`FromStr`] inverts it.
     pub fn label(&self) -> String {
-        let algo = match *self {
-            SolverConfig::Mm(a, _) => match a {
-                MmAlgorithm::Baseline => "baseline".to_string(),
-                MmAlgorithm::Bridge => "bridge".to_string(),
-                MmAlgorithm::Rand { partitions } => format!("rand{partitions}"),
-                MmAlgorithm::Degk { k } => format!("degk{k}"),
-                MmAlgorithm::Bicc => "bicc".to_string(),
-            },
-            SolverConfig::Mis(a, _) => match a {
-                MisAlgorithm::Baseline => "baseline".to_string(),
-                MisAlgorithm::Bridge => "bridge".to_string(),
-                MisAlgorithm::Rand { partitions } => format!("rand{partitions}"),
-                MisAlgorithm::Degk { k } => format!("degk{k}"),
-                MisAlgorithm::Bicc => "bicc".to_string(),
-            },
-            SolverConfig::Color(a, _) => match a {
-                ColorAlgorithm::Baseline => "baseline".to_string(),
-                ColorAlgorithm::Bridge => "bridge".to_string(),
-                ColorAlgorithm::Rand { partitions } => format!("rand{partitions}"),
-                ColorAlgorithm::Degk { k } => format!("degk{k}"),
-                ColorAlgorithm::Bicc => "bicc".to_string(),
-            },
-        };
-        format!("{}-{}@{}", self.family(), algo, self.arch())
-    }
-
-    /// Parse a [`SolverConfig::label`] back into a configuration.
-    pub fn parse(s: &str) -> Result<SolverConfig, String> {
-        let err = || format!("bad config label '{s}' (expected e.g. mm-rand3@gpu)");
-        let (body, arch) = s.split_once('@').ok_or_else(err)?;
-        let arch = match arch {
-            "cpu" => Arch::Cpu,
-            "gpu" => Arch::GpuSim,
-            _ => return Err(err()),
-        };
-        let (family, algo) = body.split_once('-').ok_or_else(err)?;
-        // `(variant, numeric parameter)`; parameterless variants get 0.
-        let (kind, param) = if let Some(p) = algo.strip_prefix("rand") {
-            ("rand", p.parse::<usize>().map_err(|_| err())?)
-        } else if let Some(k) = algo.strip_prefix("degk") {
-            ("degk", k.parse::<usize>().map_err(|_| err())?)
-        } else {
-            (algo, 0)
-        };
-        let cfg = match (family, kind) {
-            ("mm", "baseline") => SolverConfig::Mm(MmAlgorithm::Baseline, arch),
-            ("mm", "bridge") => SolverConfig::Mm(MmAlgorithm::Bridge, arch),
-            ("mm", "rand") => SolverConfig::Mm(MmAlgorithm::Rand { partitions: param }, arch),
-            ("mm", "degk") => SolverConfig::Mm(MmAlgorithm::Degk { k: param }, arch),
-            ("mm", "bicc") => SolverConfig::Mm(MmAlgorithm::Bicc, arch),
-            ("mis", "baseline") => SolverConfig::Mis(MisAlgorithm::Baseline, arch),
-            ("mis", "bridge") => SolverConfig::Mis(MisAlgorithm::Bridge, arch),
-            ("mis", "rand") => SolverConfig::Mis(MisAlgorithm::Rand { partitions: param }, arch),
-            ("mis", "degk") => SolverConfig::Mis(MisAlgorithm::Degk { k: param }, arch),
-            ("mis", "bicc") => SolverConfig::Mis(MisAlgorithm::Bicc, arch),
-            ("color", "baseline") => SolverConfig::Color(ColorAlgorithm::Baseline, arch),
-            ("color", "bridge") => SolverConfig::Color(ColorAlgorithm::Bridge, arch),
-            ("color", "rand") => {
-                SolverConfig::Color(ColorAlgorithm::Rand { partitions: param }, arch)
-            }
-            ("color", "degk") => SolverConfig::Color(ColorAlgorithm::Degk { k: param }, arch),
-            ("color", "bicc") => SolverConfig::Color(ColorAlgorithm::Bicc, arch),
-            _ => return Err(err()),
-        };
-        Ok(cfg)
+        format!("{}@{}", self.solver.label(), self.arch)
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+impl FromStr for SolverConfig {
+    type Err = String;
 
-    #[test]
-    fn matrix_is_complete_and_labels_round_trip() {
-        let all = SolverConfig::all();
-        assert_eq!(all.len(), 30);
-        for cfg in all {
-            let label = cfg.label();
-            assert_eq!(SolverConfig::parse(&label).unwrap(), cfg, "{label}");
-        }
-    }
-
-    #[test]
-    fn bad_labels_are_rejected() {
-        for bad in ["", "mm-rand3", "mm-randx@gpu", "tsp-baseline@cpu", "mm@cpu"] {
-            assert!(SolverConfig::parse(bad).is_err(), "{bad}");
-        }
+    fn from_str(s: &str) -> Result<SolverConfig, String> {
+        let (solver, arch) = s
+            .split_once('@')
+            .ok_or_else(|| format!("bad config label '{s}' (expected e.g. mm-rand:3@gpu)"))?;
+        Ok(SolverConfig {
+            solver: solver.parse()?,
+            arch: arch.parse()?,
+        })
     }
 }

@@ -377,7 +377,7 @@ mod tests {
         // with an edge, so a 129-vertex path must collapse to one edge.
         let suite = gen::adversarial_suite(5);
         let case = suite.iter().find(|c| c.name == "path-129").unwrap();
-        let cfg = SolverConfig::parse("mm-baseline@cpu").unwrap();
+        let cfg: SolverConfig = "mm-baseline@cpu".parse().unwrap();
         let g = case.build();
         let failure = oracle::check_case(&g, &cfg, 3, 2, Mutation::CorruptMatching).unwrap_err();
         assert_eq!(failure.kind, "validity");

@@ -87,7 +87,7 @@ const CHUNK_EDGES: usize = 1 << 20;
 /// declared size. Ids above [`MAX_VERTEX_ID`] are rejected with
 /// [`IoError::IdOverflow`] in either mode.
 ///
-/// Parsing streams through a bounded chunk buffer ([`CHUNK_EDGES`])
+/// Parsing streams through a bounded chunk buffer (2^20 edges)
 /// flushed into the [`GraphBuilder`] as it fills, so ingesting a 100M+
 /// edge list holds one copy of the edges (the builder's), not two. The
 /// `sb_graph_io_parse_buffer_peak_bytes` gauge records the staging

@@ -5,7 +5,13 @@
 //! share this ~150-line parser instead. It accepts standard JSON with
 //! objects, arrays, strings, numbers, booleans, and null; object key order
 //! is preserved. Numbers are held as `f64`, which is exact for every
-//! integer the runtime emits (counters stay far below 2^53).
+//! integer up to [`MAX_SAFE_JSON_INT`]; readers of integer fields reject
+//! anything larger instead of rounding it.
+
+/// The largest integer a JSON number (an f64 on both ends of the wire)
+/// carries exactly. Larger values would round silently, so the serve
+/// protocol and the trace reader reject them instead.
+pub const MAX_SAFE_JSON_INT: u64 = (1 << 53) - 1;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -31,7 +31,7 @@
 mod json;
 mod snapshot;
 
-pub use json::{escape as escape_json, parse as parse_json_value, JsonValue};
+pub use json::{escape as escape_json, parse as parse_json_value, JsonValue, MAX_SAFE_JSON_INT};
 pub use snapshot::{HistogramSnapshot, Series, SeriesValue, Snapshot};
 
 use std::collections::BTreeMap;

@@ -11,13 +11,13 @@
 //!  "settled":40,"edges_scanned":1300,"work_items":128,"duration_us":95}
 //! ```
 //!
-//! Values are only ever unsigned integers, `null`, or plain strings
-//! (phase names — no escapes needed in practice, though the parser
-//! understands the standard JSON escapes). Hand-rolled on purpose: the
-//! build is offline, so no serde.
+//! Values are only ever unsigned integers, booleans, `null`, or plain
+//! strings (phase names). Lines are read back with the workspace's one
+//! JSON parser, `sb_metrics::parse_json_value`; integers above
+//! [`MAX_SAFE_JSON_INT`] are rejected rather than rounded.
 
 use crate::{CounterDelta, RoundRecord, TraceEvent};
-use std::collections::HashMap;
+use sb_metrics::{escape_json, parse_json_value, JsonValue, MAX_SAFE_JSON_INT};
 use std::io::Write;
 
 /// Serialize one event as a single JSONL line.
@@ -36,7 +36,7 @@ pub fn write_event<W: Write>(w: &mut W, event: &TraceEvent) -> std::io::Result<(
             writeln!(
                 w,
                 "{{\"type\":\"span_start\",\"id\":{id},\"parent\":{parent},\"name\":\"{}\",\"t_us\":{t_us}}}",
-                escape(name)
+                escape_json(name)
             )
         }
         TraceEvent::SpanEnd { id, t_us, delta } => writeln!(
@@ -56,7 +56,7 @@ pub fn write_event<W: Write>(w: &mut W, event: &TraceEvent) -> std::io::Result<(
             writeln!(
                 w,
                 "{{\"type\":\"round\",\"span\":{span},\"phase\":\"{}\",\"round\":{},\"active\":{},\"settled\":{},\"edges_scanned\":{},\"work_items\":{},\"duration_us\":{},\"vacuous\":{}}}",
-                escape(phase),
+                escape_json(phase),
                 record.round,
                 record.active,
                 record.settled,
@@ -67,21 +67,6 @@ pub fn write_event<W: Write>(w: &mut W, event: &TraceEvent) -> std::io::Result<(
             )
         }
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Error produced by [`parse_jsonl`], carrying the 1-based line number.
@@ -101,46 +86,6 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// One scalar JSON value as found in a trace line.
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Num(u64),
-    Str(String),
-    Bool(bool),
-    Null,
-}
-
-impl Scalar {
-    fn as_num(&self) -> Option<u64> {
-        match self {
-            Scalar::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Scalar::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_opt_num(&self) -> Option<Option<u64>> {
-        match self {
-            Scalar::Num(n) => Some(Some(*n)),
-            Scalar::Null => Some(None),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Scalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
 /// Parse a whole JSONL trace back into events. Blank lines are skipped.
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, ParseError> {
     let mut events = Vec::new();
@@ -150,37 +95,41 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, ParseError> {
         if trimmed.is_empty() {
             continue;
         }
-        let fields = parse_object(trimmed).map_err(|message| ParseError { line, message })?;
-        events.push(event_from_fields(&fields).map_err(|message| ParseError { line, message })?);
+        let value = parse_json_value(trimmed).map_err(|message| ParseError { line, message })?;
+        events.push(event_from_json(&value).map_err(|message| ParseError { line, message })?);
     }
     Ok(events)
 }
 
-fn event_from_fields(fields: &HashMap<String, Scalar>) -> Result<TraceEvent, String> {
-    let get = |key: &str| -> Result<&Scalar, String> {
-        fields
-            .get(key)
-            .ok_or_else(|| format!("missing field {key:?}"))
+fn event_from_json(v: &JsonValue) -> Result<TraceEvent, String> {
+    let get = |key: &str| -> Result<&JsonValue, String> {
+        v.get(key).ok_or_else(|| format!("missing field {key:?}"))
     };
     let num = |key: &str| -> Result<u64, String> {
-        get(key)?
-            .as_num()
-            .ok_or_else(|| format!("field {key:?} must be a number"))
+        match get(key)?.as_u64() {
+            Some(n) if n <= MAX_SAFE_JSON_INT => Ok(n),
+            Some(n) => Err(format!("field {key:?} value {n} exceeds 2^53-1")),
+            None => Err(format!("field {key:?} must be a number")),
+        }
     };
-    let kind = get("type")?
-        .as_str()
-        .ok_or_else(|| "field \"type\" must be a string".to_string())?;
-    match kind {
+    let opt_num = |key: &str| -> Result<Option<u64>, String> {
+        match get(key)? {
+            JsonValue::Null => Ok(None),
+            JsonValue::Num(_) => num(key).map(Some),
+            _ => Err(format!("field {key:?} must be a number or null")),
+        }
+    };
+    let string = |key: &str| -> Result<String, String> {
+        get(key)?
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| format!("field {key:?} must be a string"))
+    };
+    match string("type")?.as_str() {
         "span_start" => Ok(TraceEvent::SpanStart {
             id: num("id")? as u32,
-            parent: get("parent")?
-                .as_opt_num()
-                .ok_or_else(|| "field \"parent\" must be a number or null".to_string())?
-                .map(|p| p as u32),
-            name: get("name")?
-                .as_str()
-                .ok_or_else(|| "field \"name\" must be a string".to_string())?
-                .to_string(),
+            parent: opt_num("parent")?.map(|p| p as u32),
+            name: string("name")?,
             t_us: num("t_us")?,
         }),
         "span_end" => Ok(TraceEvent::SpanEnd {
@@ -194,14 +143,8 @@ fn event_from_fields(fields: &HashMap<String, Scalar>) -> Result<TraceEvent, Str
             },
         }),
         "round" => Ok(TraceEvent::Round {
-            span: get("span")?
-                .as_opt_num()
-                .ok_or_else(|| "field \"span\" must be a number or null".to_string())?
-                .map(|s| s as u32),
-            phase: get("phase")?
-                .as_str()
-                .ok_or_else(|| "field \"phase\" must be a string".to_string())?
-                .to_string(),
+            span: opt_num("span")?.map(|s| s as u32),
+            phase: string("phase")?,
             record: RoundRecord {
                 round: num("round")?,
                 active: num("active")?,
@@ -210,136 +153,14 @@ fn event_from_fields(fields: &HashMap<String, Scalar>) -> Result<TraceEvent, Str
                 work_items: num("work_items")?,
                 duration_us: num("duration_us")?,
                 // Absent in traces written before the flag existed.
-                vacuous: match fields.get("vacuous") {
-                    Some(v) => v
-                        .as_bool()
-                        .ok_or_else(|| "field \"vacuous\" must be a boolean".to_string())?,
+                vacuous: match v.get("vacuous") {
+                    Some(JsonValue::Bool(b)) => *b,
+                    Some(_) => return Err("field \"vacuous\" must be a boolean".to_string()),
                     None => false,
                 },
             },
         }),
         other => Err(format!("unknown event type {other:?}")),
-    }
-}
-
-/// Parse one flat JSON object of scalar values.
-fn parse_object(s: &str) -> Result<HashMap<String, Scalar>, String> {
-    let mut chars = s.char_indices().peekable();
-    let mut fields = HashMap::new();
-
-    skip_ws(&mut chars);
-    expect(&mut chars, '{')?;
-    skip_ws(&mut chars);
-    if let Some(&(_, '}')) = chars.peek() {
-        chars.next();
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        expect(&mut chars, ':')?;
-        skip_ws(&mut chars);
-        let value = parse_scalar(&mut chars)?;
-        fields.insert(key, value);
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => break,
-            Some((_, c)) => return Err(format!("expected ',' or '}}', found {c:?}")),
-            None => return Err("unexpected end of line".to_string()),
-        }
-    }
-    skip_ws(&mut chars);
-    if let Some((_, c)) = chars.next() {
-        return Err(format!("trailing content starting at {c:?}"));
-    }
-    Ok(fields)
-}
-
-type Chars<'a> = std::iter::Peekable<std::str::CharIndices<'a>>;
-
-fn skip_ws(chars: &mut Chars<'_>) {
-    while matches!(chars.peek(), Some(&(_, c)) if c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-fn expect(chars: &mut Chars<'_>, want: char) -> Result<(), String> {
-    match chars.next() {
-        Some((_, c)) if c == want => Ok(()),
-        Some((_, c)) => Err(format!("expected {want:?}, found {c:?}")),
-        None => Err(format!("expected {want:?}, found end of line")),
-    }
-}
-
-fn parse_string(chars: &mut Chars<'_>) -> Result<String, String> {
-    expect(chars, '"')?;
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some((_, '"')) => return Ok(out),
-            Some((_, '\\')) => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '/')) => out.push('/'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 'u')) => {
-                    let hex: String = (0..4)
-                        .filter_map(|_| chars.next().map(|(_, c)| c))
-                        .collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|_| format!("bad unicode escape \\u{hex}"))?;
-                    out.push(char::from_u32(code).ok_or("bad unicode codepoint")?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some((_, c)) => out.push(c),
-            None => return Err("unterminated string".to_string()),
-        }
-    }
-}
-
-fn parse_scalar(chars: &mut Chars<'_>) -> Result<Scalar, String> {
-    match chars.peek() {
-        Some(&(_, '"')) => Ok(Scalar::Str(parse_string(chars)?)),
-        Some(&(_, 'n')) => {
-            for want in "null".chars() {
-                expect(chars, want)?;
-            }
-            Ok(Scalar::Null)
-        }
-        Some(&(_, 't')) => {
-            for want in "true".chars() {
-                expect(chars, want)?;
-            }
-            Ok(Scalar::Bool(true))
-        }
-        Some(&(_, 'f')) => {
-            for want in "false".chars() {
-                expect(chars, want)?;
-            }
-            Ok(Scalar::Bool(false))
-        }
-        Some(&(_, c)) if c.is_ascii_digit() => {
-            let mut n: u64 = 0;
-            while let Some(&(_, c)) = chars.peek() {
-                if let Some(d) = c.to_digit(10) {
-                    n = n
-                        .checked_mul(10)
-                        .and_then(|n| n.checked_add(d as u64))
-                        .ok_or("number overflows u64")?;
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            Ok(Scalar::Num(n))
-        }
-        Some(&(_, c)) => Err(format!("unexpected value start {c:?}")),
-        None => Err("expected a value, found end of line".to_string()),
     }
 }
 
@@ -436,5 +257,28 @@ mod tests {
         write_event(&mut buf, &e).unwrap();
         let parsed = parse_jsonl(std::str::from_utf8(&buf).unwrap()).unwrap();
         assert_eq!(parsed, vec![e]);
+    }
+
+    #[test]
+    fn integers_beyond_exact_json_range_are_rejected() {
+        let line = |t_us: u64| {
+            format!("{{\"type\":\"span_start\",\"id\":0,\"parent\":null,\"name\":\"x\",\"t_us\":{t_us}}}")
+        };
+        let ok = parse_jsonl(&line(MAX_SAFE_JSON_INT)).unwrap();
+        assert!(matches!(ok[0], TraceEvent::SpanStart { t_us, .. } if t_us == MAX_SAFE_JSON_INT));
+        let text = format!("{}\n{}", line(1), line(MAX_SAFE_JSON_INT + 2));
+        let err = parse_jsonl(&text).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("2^53-1"), "{err}");
+    }
+
+    #[test]
+    fn absent_vacuous_flag_reads_as_false() {
+        let text = "{\"type\":\"round\",\"span\":null,\"phase\":\"solve\",\"round\":0,\
+                    \"active\":1,\"settled\":1,\"edges_scanned\":2,\"work_items\":1,\"duration_us\":3}";
+        match &parse_jsonl(text).unwrap()[0] {
+            TraceEvent::Round { record, .. } => assert!(!record.vacuous),
+            other => panic!("expected a round, got {other:?}"),
+        }
     }
 }

@@ -25,7 +25,8 @@ pub struct TraceSummary {
     pub round_time_p99_us: u64,
     /// Slowest round, microseconds.
     pub round_time_max_us: u64,
-    /// Log2 histogram of items settled per round; see [`HISTOGRAM_BUCKETS`].
+    /// Log2 histogram of items settled per round: bucket `i` counts rounds
+    /// that settled `[2^(i-1), 2^i)` items (bucket 0, zero-settled rounds).
     pub settled_histogram: [u64; HISTOGRAM_BUCKETS],
     /// `(phase name, rounds recorded in that phase)`, in first-appearance
     /// order.

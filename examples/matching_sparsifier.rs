@@ -52,7 +52,14 @@ fn main() {
     let t = Instant::now();
     let mut level = 0;
     while g.num_vertices() > 200 && level < 20 {
-        let run = maximal_matching(&g, MmAlgorithm::Rand { partitions: 10 }, Arch::Cpu, level);
+        let run = maximal_matching(
+            &g,
+            Algo::Rand { partitions: 10 },
+            None,
+            Arch::Cpu,
+            level,
+            &SolveOpts::default(),
+        );
         check_maximal_matching(&g, &run.mate).unwrap();
         let matched = matching_cardinality(&run.mate);
         let coarse = contract(&g, &run.mate);

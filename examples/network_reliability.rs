@@ -75,7 +75,7 @@ fn main() {
     println!("\ninvariant checked: every bridge is a singleton block ✓");
 
     // The same decomposition drives the extension solvers:
-    let run = maximal_independent_set(&g, MisAlgorithm::Bicc, Arch::Cpu, 5);
+    let run = maximal_independent_set(&g, Algo::Bicc, None, Arch::Cpu, 5, &SolveOpts::default());
     check_maximal_independent_set(&g, &run.in_set).unwrap();
     println!(
         "MIS-Bicc: {} facility sites selected in {:.1} ms — verified",

@@ -18,13 +18,16 @@ fn main() {
         g.avg_degree()
     );
 
+    // Untraced runs in the default (compact) frontier mode; `None` below
+    // means "decompose inline".
+    let opts = SolveOpts::default();
     for arch in [Arch::Cpu, Arch::GpuSim] {
         println!("\n=== {arch} ===");
 
         // Maximal matching: baseline vs MM-Rand.
-        let base = maximal_matching(&g, MmAlgorithm::Baseline, arch, 1);
+        let base = maximal_matching(&g, Algo::Baseline, None, arch, 1, &opts);
         check_maximal_matching(&g, &base.mate).unwrap();
-        let rand = maximal_matching(&g, MmAlgorithm::Rand { partitions: 10 }, arch, 1);
+        let rand = maximal_matching(&g, Algo::Rand { partitions: 10 }, None, arch, 1, &opts);
         check_maximal_matching(&g, &rand.mate).unwrap();
         println!(
             "matching   baseline {:>8.2} ms ({} rounds) | MM-Rand {:>8.2} ms ({} rounds), {} edges",
@@ -36,9 +39,9 @@ fn main() {
         );
 
         // Coloring: baseline vs COLOR-Deg2.
-        let base = vertex_coloring(&g, ColorAlgorithm::Baseline, arch, 1);
+        let base = vertex_coloring(&g, Algo::Baseline, None, arch, 1, &opts);
         check_coloring(&g, &base.color).unwrap();
-        let degk = vertex_coloring(&g, ColorAlgorithm::Degk { k: 2 }, arch, 1);
+        let degk = vertex_coloring(&g, Algo::Degk { k: 2 }, None, arch, 1, &opts);
         check_coloring(&g, &degk.color).unwrap();
         println!(
             "coloring   baseline {:>8.2} ms ({} colors) | COLOR-Deg2 {:>8.2} ms ({} colors)",
@@ -49,9 +52,9 @@ fn main() {
         );
 
         // MIS: LubyMIS vs MIS-Deg2.
-        let base = maximal_independent_set(&g, MisAlgorithm::Baseline, arch, 1);
+        let base = maximal_independent_set(&g, Algo::Baseline, None, arch, 1, &opts);
         check_maximal_independent_set(&g, &base.in_set).unwrap();
-        let degk = maximal_independent_set(&g, MisAlgorithm::Degk { k: 2 }, arch, 1);
+        let degk = maximal_independent_set(&g, Algo::Degk { k: 2 }, None, arch, 1, &opts);
         check_maximal_independent_set(&g, &degk.in_set).unwrap();
         println!(
             "mis        LubyMIS  {:>8.2} ms ({} rounds) | MIS-Deg2 {:>8.2} ms, |I| = {}",

@@ -33,12 +33,26 @@ fn main() {
     );
 
     let t = Instant::now();
-    let base = vertex_coloring(&g, ColorAlgorithm::Baseline, Arch::Cpu, 1);
+    let base = vertex_coloring(
+        &g,
+        Algo::Baseline,
+        None,
+        Arch::Cpu,
+        1,
+        &SolveOpts::default(),
+    );
     let base_ms = t.elapsed().as_secs_f64() * 1e3;
     check_coloring(&g, &base.color).unwrap();
 
     let t = Instant::now();
-    let degk = vertex_coloring(&g, ColorAlgorithm::Degk { k: 2 }, Arch::Cpu, 1);
+    let degk = vertex_coloring(
+        &g,
+        Algo::Degk { k: 2 },
+        None,
+        Arch::Cpu,
+        1,
+        &SolveOpts::default(),
+    );
     let degk_ms = t.elapsed().as_secs_f64() * 1e3;
     check_coloring(&g, &degk.color).unwrap();
 

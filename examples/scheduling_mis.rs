@@ -15,7 +15,7 @@ use symmetry_breaking::graph::subgraph::induce_vertices_same_ids;
 use symmetry_breaking::prelude::*;
 
 /// Peel the conflict graph wave by wave; returns the wave of each job.
-fn schedule(g: &Graph, algo: MisAlgorithm, seed: u64) -> Vec<u32> {
+fn schedule(g: &Graph, algo: Algo, seed: u64) -> Vec<u32> {
     let n = g.num_vertices();
     let mut wave = vec![u32::MAX; n];
     let mut remaining: Vec<bool> = vec![true; n];
@@ -23,7 +23,14 @@ fn schedule(g: &Graph, algo: MisAlgorithm, seed: u64) -> Vec<u32> {
     let mut round = 0u32;
     let mut current = g.clone();
     while left > 0 {
-        let run = maximal_independent_set(&current, algo, Arch::Cpu, seed + round as u64);
+        let run = maximal_independent_set(
+            &current,
+            algo,
+            None,
+            Arch::Cpu,
+            seed + round as u64,
+            &SolveOpts::default(),
+        );
         check_maximal_independent_set(&current, &run.in_set).unwrap();
         for v in 0..n {
             if remaining[v] && run.in_set[v] {
@@ -49,8 +56,8 @@ fn main() {
     );
 
     for (algo, label) in [
-        (MisAlgorithm::Baseline, "LubyMIS  "),
-        (MisAlgorithm::Degk { k: 2 }, "MIS-Deg2 "),
+        (Algo::Baseline, "LubyMIS  "),
+        (Algo::Degk { k: 2 }, "MIS-Deg2 "),
     ] {
         let t = Instant::now();
         let wave = schedule(&g, algo, 3);

@@ -1,4 +1,4 @@
-//! Splittable parallel iterators over the engine in [`crate::pool`].
+//! Splittable parallel iterators over the engine in the `pool` module.
 //!
 //! Every chain starts from an indexed base (a range, slice, `Vec`, or chunk
 //! view), composes element-wise adaptors (`map`, `filter`, `filter_map`,

@@ -4,8 +4,8 @@
 //! The build environment has no network access and no crates.io cache, so
 //! the real `rayon` cannot be fetched. This shim preserves the API shape —
 //! `par_iter`, `into_par_iter`, `par_sort_unstable`, `ThreadPoolBuilder`,
-//! `install`, … — on top of a real execution engine (see [`pool`]): a
-//! lazily-initialized global worker pool on `std::thread`, chunked
+//! `install`, … — on top of a real execution engine (the private `pool`
+//! module): a lazily-initialized global worker pool on `std::thread`, chunked
 //! parallel-for with per-thread chunk claiming through an atomic index,
 //! early-exit cancellation for `find_any`, order-respecting parallel
 //! `map`/`collect`, and a parallel merge sort behind `par_sort_unstable`.

@@ -77,9 +77,7 @@ use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
-use symmetry_breaking::decompose::{
-    decompose_bicc, decompose_bridge, decompose_degk, decompose_metis_like, decompose_rand,
-};
+use symmetry_breaking::decompose::{decompose_bicc, decompose_metis_like};
 use symmetry_breaking::prelude::*;
 
 fn usage() -> ! {
@@ -105,20 +103,6 @@ fn usage() -> ! {
          --metrics <out.json> (solve/batch/fuzz): write the metrics registry snapshot on exit"
     );
     std::process::exit(2)
-}
-
-/// `name:K` → (name, Some(K)); `name` → (name, None). A malformed or zero
-/// parameter is an error rather than a silent fallback.
-fn split_param(s: &str) -> Result<(&str, Option<usize>), String> {
-    match s.split_once(':') {
-        Some((a, b)) => match b.parse::<usize>() {
-            Ok(k) if k >= 1 => Ok((a, Some(k))),
-            _ => Err(format!(
-                "'{s}': the parameter after ':' must be a positive integer"
-            )),
-        },
-        None => Ok((s, None)),
-    }
 }
 
 /// Resolve a Table II name to its `GraphId`.
@@ -238,13 +222,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .parse()
                     .map_err(|_| "--seed takes a u64".to_string())?
             }
-            "--arch" => {
-                f.arch = match val("--arch")?.as_str() {
-                    "cpu" => Arch::Cpu,
-                    "gpu" => Arch::GpuSim,
-                    other => return Err(format!("unknown arch '{other}'")),
-                }
-            }
+            "--arch" => f.arch = val("--arch")?.parse()?,
             "--frontier" => f.frontier = val("--frontier")?.parse()?,
             "--method" => f.method = Some(val("--method")?),
             "--problem" => f.problem = Some(val("--problem")?),
@@ -494,58 +472,56 @@ fn cmd_decompose(f: &Flags) -> Result<(), String> {
         None => Counters::new(),
     };
     let sw = std::time::Instant::now();
-    let span = c.phase("decompose");
-    let summary = match split_param(method)? {
-        ("bridge", _) => {
-            let d = decompose_bridge(&g, &c);
-            format!(
+    let summary = if let Some(param) = method.strip_prefix("metis") {
+        let k =
+            match param.strip_prefix(':') {
+                None if param.is_empty() => 8,
+                Some(k) => k.parse().ok().filter(|&k| k >= 1).ok_or_else(|| {
+                    format!("'{method}': the parameter must be a positive integer")
+                })?,
+                None => return Err(format!("unknown method '{method}'")),
+            };
+        let d = {
+            let _span = c.phase("decompose");
+            decompose_metis_like(&g, k, &c)
+        };
+        format!(
+            "METIS-like(k={k}): cut = {} edges ({:.1}%)",
+            d.cut,
+            100.0 * d.cut as f64 / g.num_edges().max(1) as f64
+        )
+    } else {
+        let algo = Algo::parse(method, Problem::Mm)?;
+        match Decomposition::compute(&g, algo, f.seed, &c) {
+            Some(Decomposition::Bridge(d)) => format!(
                 "BRIDGE: {} bridges ({:.1}%), {} two-edge-connected components",
                 d.bridges.len(),
                 100.0 * d.bridges.len() as f64 / g.num_edges().max(1) as f64,
                 d.components.count
-            )
-        }
-        ("rand", k) => {
-            let k = k.unwrap_or(10);
-            let d = decompose_rand(&g, k, f.seed, &c);
-            format!(
-                "RAND(k={k}): {} induced edges ({:.1}%), {} cross edges",
+            ),
+            Some(Decomposition::Rand(d)) => format!(
+                "RAND(k={}): {} induced edges ({:.1}%), {} cross edges",
+                d.k,
                 d.m_induced,
                 100.0 * d.induced_edge_fraction(),
                 d.m_cross
-            )
-        }
-        ("degk", k) => {
-            let k = k.unwrap_or(2);
-            let d = decompose_degk(&g, k, &c);
-            format!(
-                "DEG{k}: |V_H| = {}, G_H {} edges, G_L {} edges, G_C {} edges",
+            ),
+            Some(Decomposition::Degk(d)) => format!(
+                "DEG{}: |V_H| = {}, G_H {} edges, G_L {} edges, G_C {} edges",
+                d.k,
                 d.high_vertices().len(),
                 d.m_high,
                 d.m_low,
                 d.m_cross
-            )
-        }
-        ("metis", k) => {
-            let k = k.unwrap_or(8);
-            let d = decompose_metis_like(&g, k, &c);
-            format!(
-                "METIS-like(k={k}): cut = {} edges ({:.1}%)",
-                d.cut,
-                100.0 * d.cut as f64 / g.num_edges().max(1) as f64
-            )
-        }
-        ("bicc", _) => {
-            let d = decompose_bicc(&g, &c);
-            format!(
+            ),
+            Some(Decomposition::Bicc(d)) => format!(
                 "BICC: {} blocks, {} articulation points",
                 d.num_blocks,
                 d.articulation_points().len()
-            )
+            ),
+            None => return Err(format!("unknown method '{method}'")),
         }
-        (other, _) => return Err(format!("unknown method '{other}'")),
     };
-    drop(span);
     println!("{summary}");
     println!(
         "decomposed in {:.2} ms ({} rounds)",
@@ -559,106 +535,36 @@ fn cmd_decompose(f: &Flags) -> Result<(), String> {
 fn cmd_solve(f: &Flags) -> Result<(), String> {
     let input = f.positional.first().ok_or("solve needs an input")?;
     let problem = f.problem.as_ref().ok_or("solve needs --problem")?;
+    let solver = Solver::parse(problem, &f.algo)?;
     let g = load_input(input, f.scale, f.seed)?;
     let sink = trace_sink(f);
     let opts = SolveOpts {
         trace: sink.clone(),
         frontier: f.frontier,
     };
-
-    match problem.as_str() {
-        "mm" => {
-            let algo = match split_param(&f.algo)? {
-                ("baseline", _) => MmAlgorithm::Baseline,
-                ("bridge", _) => MmAlgorithm::Bridge,
-                ("rand", k) => MmAlgorithm::Rand {
-                    partitions: k.unwrap_or(10),
-                },
-                ("degk", k) => MmAlgorithm::Degk { k: k.unwrap_or(2) },
-                ("bicc", _) => MmAlgorithm::Bicc,
-                (other, _) => return Err(format!("unknown algo '{other}'")),
-            };
-            let run = maximal_matching_opts(&g, algo, f.arch, f.seed, &opts);
-            check_maximal_matching(&g, &run.mate).map_err(|e| format!("INVALID RESULT: {e}"))?;
-            println!(
-                "maximal matching: {} edges in {:.2} ms ({} rounds; decomposition {:.2} ms) — verified",
-                run.cardinality(),
-                run.stats.total_ms(),
-                run.stats.counters.rounds,
-                run.stats.decompose_time.as_secs_f64() * 1e3
-            );
-            let body: String = run
-                .mate
-                .iter()
-                .enumerate()
-                .filter(|&(v, &m)| (m as usize) > v && m != INVALID)
-                .map(|(v, &m)| format!("{v} {m}\n"))
-                .collect();
-            if f.output.is_some() {
-                write_or_print(&f.output, &body)?;
-            }
-        }
-        "color" => {
-            let algo = match split_param(&f.algo)? {
-                ("baseline", _) => ColorAlgorithm::Baseline,
-                ("bridge", _) => ColorAlgorithm::Bridge,
-                ("rand", k) => ColorAlgorithm::Rand {
-                    partitions: k.unwrap_or(2),
-                },
-                ("degk", k) => ColorAlgorithm::Degk { k: k.unwrap_or(2) },
-                ("bicc", _) => ColorAlgorithm::Bicc,
-                (other, _) => return Err(format!("unknown algo '{other}'")),
-            };
-            let run = vertex_coloring_opts(&g, algo, f.arch, f.seed, &opts);
-            check_coloring(&g, &run.color).map_err(|e| format!("INVALID RESULT: {e}"))?;
-            println!(
-                "coloring: {} colors in {:.2} ms ({} rounds) — verified",
-                run.num_colors(),
-                run.stats.total_ms(),
-                run.stats.counters.rounds
-            );
-            if f.output.is_some() {
-                let body: String = run
-                    .color
-                    .iter()
-                    .enumerate()
-                    .map(|(v, c)| format!("{v} {c}\n"))
-                    .collect();
-                write_or_print(&f.output, &body)?;
-            }
-        }
-        "mis" => {
-            let algo = match split_param(&f.algo)? {
-                ("baseline", _) => MisAlgorithm::Baseline,
-                ("bridge", _) => MisAlgorithm::Bridge,
-                ("rand", k) => MisAlgorithm::Rand {
-                    partitions: k.unwrap_or(10),
-                },
-                ("degk", k) => MisAlgorithm::Degk { k: k.unwrap_or(2) },
-                ("bicc", _) => MisAlgorithm::Bicc,
-                (other, _) => return Err(format!("unknown algo '{other}'")),
-            };
-            let run = maximal_independent_set_opts(&g, algo, f.arch, f.seed, &opts);
-            check_maximal_independent_set(&g, &run.in_set)
-                .map_err(|e| format!("INVALID RESULT: {e}"))?;
-            println!(
-                "maximal independent set: {} vertices in {:.2} ms ({} rounds) — verified",
-                run.size(),
-                run.stats.total_ms(),
-                run.stats.counters.rounds
-            );
-            if f.output.is_some() {
-                let body: String = run
-                    .in_set
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &b)| b)
-                    .map(|(v, _)| format!("{v}\n"))
-                    .collect();
-                write_or_print(&f.output, &body)?;
-            }
-        }
-        other => return Err(format!("unknown problem '{other}' (mm|color|mis)")),
+    let (solution, stats) = solve(&g, solver, None, f.arch, f.seed, &opts);
+    solution
+        .verify(&g)
+        .map_err(|e| format!("INVALID RESULT: {e}"))?;
+    let (ms, rounds) = (stats.total_ms(), stats.counters.rounds);
+    let headline = match &solution {
+        Solution::Mate(mate) => format!(
+            "maximal matching: {} edges in {ms:.2} ms ({rounds} rounds; decomposition {:.2} ms)",
+            matching_cardinality(mate),
+            stats.decompose_time.as_secs_f64() * 1e3
+        ),
+        Solution::Color(color) => format!(
+            "coloring: {} colors in {ms:.2} ms ({rounds} rounds)",
+            color_count(color)
+        ),
+        Solution::Set(in_set) => format!(
+            "maximal independent set: {} vertices in {ms:.2} ms ({rounds} rounds)",
+            in_set.iter().filter(|&&b| b).count()
+        ),
+    };
+    println!("{headline} — verified");
+    if f.output.is_some() {
+        write_or_print(&f.output, &solution.render())?;
     }
     flush_trace(f, &sink)?;
     Ok(())
@@ -674,7 +580,7 @@ fn cmd_fuzz(f: &Flags) -> Result<(), String> {
     let wide = f.threads.unwrap_or(4);
     if let Some(path) = &f.replay {
         let case = CaseFile::load(Path::new(path))?;
-        let cfg = SolverConfig::parse(&case.config)?;
+        let cfg: SolverConfig = case.config.parse()?;
         let g = symmetry_breaking::graph::builder::from_edge_list(case.n, &case.edges);
         let threads = f.threads.unwrap_or(case.threads);
         println!(
@@ -1137,20 +1043,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_param_forms() {
-        assert_eq!(split_param("rand:10").unwrap(), ("rand", Some(10)));
-        assert_eq!(split_param("degk").unwrap(), ("degk", None));
-        assert!(
-            split_param("rand:x").is_err(),
-            "typo'd K must not fall back silently"
-        );
-        assert!(
-            split_param("rand:0").is_err(),
-            "zero partitions must be rejected"
-        );
-    }
 
     #[test]
     fn graph_names_resolve() {

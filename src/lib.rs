@@ -14,7 +14,8 @@
 //!
 //! // Build a graph, pick an algorithm + architecture, verify the result.
 //! let g = from_edge_list(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-//! let run = maximal_matching(&g, MmAlgorithm::Rand { partitions: 2 }, Arch::Cpu, 42);
+//! let algo = Algo::Rand { partitions: 2 };
+//! let run = maximal_matching(&g, algo, None, Arch::Cpu, 42, &SolveOpts::default());
 //! check_maximal_matching(&g, &run.mate).unwrap();
 //! ```
 //!
@@ -33,19 +34,12 @@ pub use sb_trace as trace;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use sb_core::coloring::{
-        vertex_coloring, vertex_coloring_opts, vertex_coloring_traced, ColorAlgorithm, ColoringRun,
-    };
+    pub use sb_core::coloring::{vertex_coloring, ColoringRun};
     pub use sb_core::common::{Arch, FrontierMode, RunStats, SolveOpts};
-    pub use sb_core::matching::{
-        maximal_matching, maximal_matching_opts, maximal_matching_traced, suggested_partitions,
-        MatchingRun, MmAlgorithm,
-    };
-    pub use sb_core::mis::{
-        maximal_independent_set, maximal_independent_set_opts, maximal_independent_set_traced,
-        MisAlgorithm, MisRun,
-    };
-    pub use sb_core::repair::{repair_coloring, repair_matching, repair_mis};
+    pub use sb_core::matching::{maximal_matching, suggested_partitions, MatchingRun};
+    pub use sb_core::mis::{maximal_independent_set, MisRun};
+    pub use sb_core::repair::repair;
+    pub use sb_core::solver::{solve, Algo, Decomposition, Problem, Solution, Solver};
     pub use sb_core::verify::{
         check_coloring, check_independent_set, check_matching, check_maximal_independent_set,
         check_maximal_matching, color_count, matching_cardinality,
@@ -57,7 +51,7 @@ pub mod prelude {
     pub use sb_engine::{
         parse_jobs, run_batch_compare, BatchOptions, BatchReport, CancelToken, Client, Engine,
         EngineConfig, GraphSource, JobSpec, ServeConfig, Server, ServerHandle, Session,
-        SharedEngine, Solver,
+        SharedEngine,
     };
     pub use sb_graph::builder::{from_edge_list, GraphBuilder};
     pub use sb_graph::csr::{Graph, VertexId, INVALID};

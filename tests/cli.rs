@@ -355,6 +355,37 @@ fn fuzz_replay_round_trips_a_case_file() {
 }
 
 #[test]
+fn fuzz_replay_rejects_zero_parameters_without_panicking() {
+    let dir = std::env::temp_dir().join("sbreak-cli-replay-zero");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    for config in ["mm-rand0@cpu", "mm-rand:0@cpu", "mis-degk:0@cpu"] {
+        let case = dir.join("case.txt");
+        std::fs::write(
+            &case,
+            format!(
+                "# sb-fuzz counterexample\n# config: {config}\n# seed: 7\n\
+                 # threads: 2\n# failure: validity: synthetic\n# n: 2\n0 1\n"
+            ),
+        )
+        .unwrap();
+        let out = sbreak(&["fuzz", "--replay", case.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{config}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("positive integer"),
+            "{config}: {}",
+            stderr(&out)
+        );
+        assert!(
+            !stderr(&out).contains("panicked"),
+            "{config}: {}",
+            stderr(&out)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn seed_determinism_through_the_cli() {
     let a = sbreak(&[
         "solve",

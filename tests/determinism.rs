@@ -51,12 +51,30 @@ fn rand_decomposition_is_seed_pure() {
 fn solvers_reproducible_per_seed() {
     let g = graph();
     for arch in [Arch::Cpu, Arch::GpuSim] {
-        let m1 = maximal_matching(&g, MmAlgorithm::Rand { partitions: 5 }, arch, 4).mate;
-        let m2 = maximal_matching(&g, MmAlgorithm::Rand { partitions: 5 }, arch, 4).mate;
+        let m1 = maximal_matching(
+            &g,
+            Algo::Rand { partitions: 5 },
+            None,
+            arch,
+            4,
+            &SolveOpts::default(),
+        )
+        .mate;
+        let m2 = maximal_matching(
+            &g,
+            Algo::Rand { partitions: 5 },
+            None,
+            arch,
+            4,
+            &SolveOpts::default(),
+        )
+        .mate;
         assert_eq!(m1, m2, "matching not reproducible on {arch}");
 
-        let i1 = maximal_independent_set(&g, MisAlgorithm::Baseline, arch, 4).in_set;
-        let i2 = maximal_independent_set(&g, MisAlgorithm::Baseline, arch, 4).in_set;
+        let i1 = maximal_independent_set(&g, Algo::Baseline, None, arch, 4, &SolveOpts::default())
+            .in_set;
+        let i2 = maximal_independent_set(&g, Algo::Baseline, None, arch, 4, &SolveOpts::default())
+            .in_set;
         assert_eq!(i1, i2, "MIS not reproducible on {arch}");
     }
 }
@@ -64,8 +82,24 @@ fn solvers_reproducible_per_seed() {
 #[test]
 fn different_seeds_differ() {
     let g = graph();
-    let i1 = maximal_independent_set(&g, MisAlgorithm::Baseline, Arch::Cpu, 1).in_set;
-    let i2 = maximal_independent_set(&g, MisAlgorithm::Baseline, Arch::Cpu, 2).in_set;
+    let i1 = maximal_independent_set(
+        &g,
+        Algo::Baseline,
+        None,
+        Arch::Cpu,
+        1,
+        &SolveOpts::default(),
+    )
+    .in_set;
+    let i2 = maximal_independent_set(
+        &g,
+        Algo::Baseline,
+        None,
+        Arch::Cpu,
+        2,
+        &SolveOpts::default(),
+    )
+    .in_set;
     assert_ne!(i1, i2, "seeds should perturb Luby's choices");
 }
 
@@ -83,17 +117,25 @@ fn seed_deterministic_solvers_thread_invariant() {
         // GM (CPU) / LMAX (GPU-sim), and the composites over deterministic
         // decompositions (RAND hash-partition, DEGk classification).
         for algo in [
-            MmAlgorithm::Baseline,
-            MmAlgorithm::Rand { partitions: 5 },
-            MmAlgorithm::Degk { k: 2 },
+            Algo::Baseline,
+            Algo::Rand { partitions: 5 },
+            Algo::Degk { k: 2 },
         ] {
-            let one = with_threads(1, || maximal_matching(&g, algo, arch, 4).mate);
-            let many = with_threads(n, || maximal_matching(&g, algo, arch, 4).mate);
+            let one = with_threads(1, || {
+                maximal_matching(&g, algo, None, arch, 4, &SolveOpts::default()).mate
+            });
+            let many = with_threads(n, || {
+                maximal_matching(&g, algo, None, arch, 4, &SolveOpts::default()).mate
+            });
             assert_eq!(one, many, "{algo:?} on {arch}: 1 vs {n} threads differ");
         }
-        for algo in [MisAlgorithm::Baseline, MisAlgorithm::Degk { k: 2 }] {
-            let one = with_threads(1, || maximal_independent_set(&g, algo, arch, 4).in_set);
-            let many = with_threads(n, || maximal_independent_set(&g, algo, arch, 4).in_set);
+        for algo in [Algo::Baseline, Algo::Degk { k: 2 }] {
+            let one = with_threads(1, || {
+                maximal_independent_set(&g, algo, None, arch, 4, &SolveOpts::default()).in_set
+            });
+            let many = with_threads(n, || {
+                maximal_independent_set(&g, algo, None, arch, 4, &SolveOpts::default()).in_set
+            });
             assert_eq!(one, many, "{algo:?} on {arch}: 1 vs {n} threads differ");
         }
     }
@@ -114,9 +156,16 @@ fn round_and_launch_counts_thread_invariant() {
 
     let lmax = |threads| {
         with_threads(threads, || {
-            maximal_matching(&g, MmAlgorithm::Baseline, Arch::GpuSim, 7)
-                .stats
-                .counters
+            maximal_matching(
+                &g,
+                Algo::Baseline,
+                None,
+                Arch::GpuSim,
+                7,
+                &SolveOpts::default(),
+            )
+            .stats
+            .counters
         })
     };
     let (one, many) = (lmax(1), lmax(n));
@@ -130,12 +179,16 @@ fn round_and_launch_counts_thread_invariant() {
     let traced_rounds = |threads: usize| {
         with_threads(threads, || {
             let sink = std::sync::Arc::new(TraceSink::enabled());
-            maximal_independent_set_traced(
+            maximal_independent_set(
                 &g,
-                MisAlgorithm::Baseline,
+                Algo::Baseline,
+                None,
                 Arch::Cpu,
                 7,
-                Some(sink.clone()),
+                &SolveOpts {
+                    trace: Some(sink.clone()),
+                    ..SolveOpts::default()
+                },
             );
             symmetry_breaking::trace::rounds_per_phase(&sink.events())
         })
@@ -158,21 +211,21 @@ fn productive_round_counts_frontier_mode_invariant() {
     let g = graph();
     let n = wide();
 
-    let traced = |algo: MmAlgorithm, mode: FrontierMode, threads: usize| {
+    let traced = |algo: Algo, mode: FrontierMode, threads: usize| {
         with_threads(threads, || {
             let sink = std::sync::Arc::new(TraceSink::enabled());
             let opts = SolveOpts {
                 trace: Some(sink.clone()),
                 frontier: mode,
             };
-            maximal_matching_opts(&g, algo, Arch::GpuSim, 7, &opts);
+            maximal_matching(&g, algo, None, Arch::GpuSim, 7, &opts);
             symmetry_breaking::trace::productive_rounds_per_phase(&sink.events())
         })
     };
     for algo in [
-        MmAlgorithm::Baseline,
-        MmAlgorithm::Rand { partitions: 5 },
-        MmAlgorithm::Degk { k: 2 },
+        Algo::Baseline,
+        Algo::Rand { partitions: 5 },
+        Algo::Degk { k: 2 },
     ] {
         let dense = traced(algo, FrontierMode::Dense, 1);
         for (mode, threads) in [
@@ -202,7 +255,15 @@ fn solver_output_invariant_under_both_claim_strategies() {
     let n = wide();
     let before = schedule_strategy();
 
-    let reference = maximal_independent_set(&g, MisAlgorithm::Baseline, Arch::Cpu, 4).in_set;
+    let reference = maximal_independent_set(
+        &g,
+        Algo::Baseline,
+        None,
+        Arch::Cpu,
+        4,
+        &SolveOpts::default(),
+    )
+    .in_set;
     for strat in [ScheduleStrategy::Stealing, ScheduleStrategy::GlobalCounter] {
         set_schedule_strategy(strat);
         for mode in [
@@ -212,9 +273,10 @@ fn solver_output_invariant_under_both_claim_strategies() {
         ] {
             let solve = |threads| {
                 with_threads(threads, || {
-                    maximal_independent_set_opts(
+                    maximal_independent_set(
                         &g,
-                        MisAlgorithm::Baseline,
+                        Algo::Baseline,
+                        None,
                         Arch::Cpu,
                         4,
                         &SolveOpts::with_mode(mode),
@@ -231,10 +293,26 @@ fn solver_output_invariant_under_both_claim_strategies() {
             );
         }
         let one = with_threads(1, || {
-            maximal_matching(&g, MmAlgorithm::Degk { k: 2 }, Arch::Cpu, 4).mate
+            maximal_matching(
+                &g,
+                Algo::Degk { k: 2 },
+                None,
+                Arch::Cpu,
+                4,
+                &SolveOpts::default(),
+            )
+            .mate
         });
         let many = with_threads(n, || {
-            maximal_matching(&g, MmAlgorithm::Degk { k: 2 }, Arch::Cpu, 4).mate
+            maximal_matching(
+                &g,
+                Algo::Degk { k: 2 },
+                None,
+                Arch::Cpu,
+                4,
+                &SolveOpts::default(),
+            )
+            .mate
         });
         assert_eq!(one, many, "{strat:?}: GM/degk 1 vs {n} threads differ");
     }
@@ -246,7 +324,23 @@ fn deterministic_algorithms_ignore_seed() {
     // GM (lowest-id) and the oriented MIS are deterministic by design; the
     // seed only affects the decomposition in their composites.
     let g = graph();
-    let a = maximal_matching(&g, MmAlgorithm::Baseline, Arch::Cpu, 1).mate;
-    let b = maximal_matching(&g, MmAlgorithm::Baseline, Arch::Cpu, 2).mate;
+    let a = maximal_matching(
+        &g,
+        Algo::Baseline,
+        None,
+        Arch::Cpu,
+        1,
+        &SolveOpts::default(),
+    )
+    .mate;
+    let b = maximal_matching(
+        &g,
+        Algo::Baseline,
+        None,
+        Arch::Cpu,
+        2,
+        &SolveOpts::default(),
+    )
+    .mate;
     assert_eq!(a, b, "GM is seedless and must not vary");
 }

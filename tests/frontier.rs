@@ -16,7 +16,6 @@
 //! identity is only pinned at one thread; wider pools assert validity.
 
 use std::sync::Arc;
-use symmetry_breaking::core::mis::luby::luby_extend_frontier;
 use symmetry_breaking::par::frontier::{ActiveSet, BitFrontier, MarkSet};
 use symmetry_breaking::par::with_threads;
 use symmetry_breaking::prelude::*;
@@ -35,12 +34,12 @@ fn wide() -> usize {
         .max(1)
 }
 
-fn mm(g: &Graph, algo: MmAlgorithm, arch: Arch, mode: FrontierMode) -> MatchingRun {
-    maximal_matching_opts(g, algo, arch, 7, &SolveOpts::with_mode(mode))
+fn mm(g: &Graph, algo: Algo, arch: Arch, mode: FrontierMode) -> MatchingRun {
+    maximal_matching(g, algo, None, arch, 7, &SolveOpts::with_mode(mode))
 }
 
-fn mis(g: &Graph, algo: MisAlgorithm, arch: Arch, mode: FrontierMode) -> MisRun {
-    maximal_independent_set_opts(g, algo, arch, 7, &SolveOpts::with_mode(mode))
+fn mis(g: &Graph, algo: Algo, arch: Arch, mode: FrontierMode) -> MisRun {
+    maximal_independent_set(g, algo, None, arch, 7, &SolveOpts::with_mode(mode))
 }
 
 #[test]
@@ -49,9 +48,9 @@ fn gm_matching_frontier_byte_identical_to_dense() {
     for threads in [1, wide()] {
         with_threads(threads, || {
             for algo in [
-                MmAlgorithm::Baseline,
-                MmAlgorithm::Rand { partitions: 5 },
-                MmAlgorithm::Degk { k: 2 },
+                Algo::Baseline,
+                Algo::Rand { partitions: 5 },
+                Algo::Degk { k: 2 },
             ] {
                 let dense = mm(&g, algo, Arch::Cpu, FrontierMode::Dense).mate;
                 let compact = mm(&g, algo, Arch::Cpu, FrontierMode::Compact).mate;
@@ -77,21 +76,9 @@ fn lmax_matching_frontier_byte_identical_to_dense_on_full_view() {
     let g = graph();
     for threads in [1, wide()] {
         with_threads(threads, || {
-            let dense = mm(&g, MmAlgorithm::Baseline, Arch::GpuSim, FrontierMode::Dense).mate;
-            let compact = mm(
-                &g,
-                MmAlgorithm::Baseline,
-                Arch::GpuSim,
-                FrontierMode::Compact,
-            )
-            .mate;
-            let bitset = mm(
-                &g,
-                MmAlgorithm::Baseline,
-                Arch::GpuSim,
-                FrontierMode::Bitset,
-            )
-            .mate;
+            let dense = mm(&g, Algo::Baseline, Arch::GpuSim, FrontierMode::Dense).mate;
+            let compact = mm(&g, Algo::Baseline, Arch::GpuSim, FrontierMode::Compact).mate;
+            let bitset = mm(&g, Algo::Baseline, Arch::GpuSim, FrontierMode::Bitset).mate;
             assert_eq!(
                 dense, compact,
                 "LMAX dense/compact diverged at {threads} threads"
@@ -115,10 +102,7 @@ fn lmax_matching_frontier_byte_identical_to_dense_on_masked_views() {
     let g = graph();
     for threads in [1, wide()] {
         with_threads(threads, || {
-            for algo in [
-                MmAlgorithm::Rand { partitions: 5 },
-                MmAlgorithm::Degk { k: 2 },
-            ] {
+            for algo in [Algo::Rand { partitions: 5 }, Algo::Degk { k: 2 }] {
                 let dense = mm(&g, algo, Arch::GpuSim, FrontierMode::Dense).mate;
                 let compact = mm(&g, algo, Arch::GpuSim, FrontierMode::Compact).mate;
                 let bitset = mm(&g, algo, Arch::GpuSim, FrontierMode::Bitset).mate;
@@ -142,7 +126,7 @@ fn luby_mis_frontier_byte_identical_to_dense() {
     for threads in [1, wide()] {
         with_threads(threads, || {
             for arch in [Arch::Cpu, Arch::GpuSim] {
-                for algo in [MisAlgorithm::Baseline, MisAlgorithm::Rand { partitions: 5 }] {
+                for algo in [Algo::Baseline, Algo::Rand { partitions: 5 }] {
                     let dense = mis(&g, algo, arch, FrontierMode::Dense).in_set;
                     let compact = mis(&g, algo, arch, FrontierMode::Compact).in_set;
                     let bitset = mis(&g, algo, arch, FrontierMode::Bitset).in_set;
@@ -165,25 +149,28 @@ fn luby_mis_frontier_byte_identical_to_dense() {
 fn vb_coloring_frontier_identical_at_one_thread_valid_at_many() {
     let g = graph();
     with_threads(1, || {
-        let dense = vertex_coloring_opts(
+        let dense = vertex_coloring(
             &g,
-            ColorAlgorithm::Baseline,
+            Algo::Baseline,
+            None,
             Arch::Cpu,
             7,
             &SolveOpts::with_mode(FrontierMode::Dense),
         )
         .color;
-        let compact = vertex_coloring_opts(
+        let compact = vertex_coloring(
             &g,
-            ColorAlgorithm::Baseline,
+            Algo::Baseline,
+            None,
             Arch::Cpu,
             7,
             &SolveOpts::with_mode(FrontierMode::Compact),
         )
         .color;
-        let bitset = vertex_coloring_opts(
+        let bitset = vertex_coloring(
             &g,
-            ColorAlgorithm::Baseline,
+            Algo::Baseline,
+            None,
             Arch::Cpu,
             7,
             &SolveOpts::with_mode(FrontierMode::Bitset),
@@ -198,9 +185,10 @@ fn vb_coloring_frontier_identical_at_one_thread_valid_at_many() {
             FrontierMode::Compact,
             FrontierMode::Bitset,
         ] {
-            let run = vertex_coloring_opts(
+            let run = vertex_coloring(
                 &g,
-                ColorAlgorithm::Baseline,
+                Algo::Baseline,
+                None,
                 Arch::Cpu,
                 7,
                 &SolveOpts::with_mode(mode),
@@ -215,9 +203,9 @@ fn compact_mode_scans_fewer_edges() {
     // Compact must beat dense outright; bitset holds the same member sets
     // as compact, so its logical edge work must not exceed compact's.
     let g = graph();
-    let dense = mm(&g, MmAlgorithm::Baseline, Arch::Cpu, FrontierMode::Dense);
-    let compact = mm(&g, MmAlgorithm::Baseline, Arch::Cpu, FrontierMode::Compact);
-    let bitset = mm(&g, MmAlgorithm::Baseline, Arch::Cpu, FrontierMode::Bitset);
+    let dense = mm(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Dense);
+    let compact = mm(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Compact);
+    let bitset = mm(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Bitset);
     assert!(
         compact.stats.counters.edges_scanned < dense.stats.counters.edges_scanned,
         "GM compact scanned {} edges, dense {}",
@@ -230,9 +218,9 @@ fn compact_mode_scans_fewer_edges() {
         bitset.stats.counters.edges_scanned,
         compact.stats.counters.edges_scanned,
     );
-    let dense = mis(&g, MisAlgorithm::Baseline, Arch::Cpu, FrontierMode::Dense);
-    let compact = mis(&g, MisAlgorithm::Baseline, Arch::Cpu, FrontierMode::Compact);
-    let bitset = mis(&g, MisAlgorithm::Baseline, Arch::Cpu, FrontierMode::Bitset);
+    let dense = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Dense);
+    let compact = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Compact);
+    let bitset = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Bitset);
     assert!(
         compact.stats.counters.edges_scanned < dense.stats.counters.edges_scanned,
         "Luby compact scanned {} edges, dense {}",
@@ -257,7 +245,7 @@ fn frontier_rounds_shrink_monotonically() {
         trace: Some(sink.clone()),
         frontier: FrontierMode::Compact,
     };
-    maximal_independent_set_opts(&g, MisAlgorithm::Baseline, Arch::Cpu, 7, &opts);
+    maximal_independent_set(&g, Algo::Baseline, None, Arch::Cpu, 7, &opts);
     let rounds: Vec<_> = sink
         .events()
         .into_iter()
@@ -284,58 +272,14 @@ fn frontier_rounds_shrink_monotonically() {
 }
 
 #[test]
-fn scratch_arena_stops_allocating_after_first_solve() {
-    let g = graph();
-    let n = g.num_vertices();
-    let mut scratch = Scratch::new();
-    let view = symmetry_breaking::graph::view::EdgeView::full();
-
-    let mut first = vec![0u8; n];
-    luby_extend_frontier(
-        &g,
-        view,
-        &mut first,
-        None,
-        7,
-        &Counters::new(),
-        &mut scratch,
-    );
-    let after_first = scratch.stats();
-    assert!(after_first.fresh_allocs > 0, "first solve must allocate");
-
-    let mut second = vec![0u8; n];
-    luby_extend_frontier(
-        &g,
-        view,
-        &mut second,
-        None,
-        7,
-        &Counters::new(),
-        &mut scratch,
-    );
-    let after_second = scratch.stats();
-    assert_eq!(
-        after_second.fresh_allocs, after_first.fresh_allocs,
-        "second solve on a warm arena must not allocate"
-    );
-    assert!(after_second.reuses > after_first.reuses);
-    assert_eq!(first, second, "same seed on a warm arena must not diverge");
-}
-
-#[test]
 fn runstats_carry_the_scratch_arena_snapshot() {
     let g = graph();
-    let run = mis(
-        &g,
-        MisAlgorithm::Degk { k: 2 },
-        Arch::Cpu,
-        FrontierMode::Compact,
-    );
+    let run = mis(&g, Algo::Degk { k: 2 }, Arch::Cpu, FrontierMode::Compact);
     assert!(
         run.stats.scratch.fresh_allocs > 0,
         "a compact-mode run must report its arena allocations via RunStats"
     );
-    let dense = mis(&g, MisAlgorithm::Baseline, Arch::Cpu, FrontierMode::Dense);
+    let dense = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Dense);
     // Dense baselines may legitimately use no scratch; the field still
     // reads as an explicit zero rather than being absent.
     let _ = dense.stats.scratch.reuses;

@@ -10,15 +10,11 @@
 
 use sb_bench::harness::{load_suite, BenchConfig};
 use sb_bench::{runners, schemas};
-use sb_core::coloring::ColorAlgorithm;
 use sb_core::common::{Arch, FrontierMode, SolveOpts};
-use sb_core::matching::MmAlgorithm;
-use sb_core::mis::MisAlgorithm;
+use sb_core::solver::{solve, Solver};
 use sb_datasets::suite::{generate, spec, GraphId, Scale};
 use sb_engine::protocol::{MutateParams, SolveParams};
-use sb_engine::{
-    run_batch_compare, BatchOptions, EngineConfig, JobSpec, ServeConfig, Server, Solution, Solver,
-};
+use sb_engine::{run_batch_compare, BatchOptions, EngineConfig, JobSpec, ServeConfig, Server};
 use sb_metrics::JsonValue;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -149,9 +145,9 @@ fn engine_batch_report_json_shape_is_pinned() {
         timeout_ms: None,
     };
     let jobs = [
-        job("mm", Solver::Mm(MmAlgorithm::Rand { partitions: 4 })),
-        job("color", Solver::Color(ColorAlgorithm::Degk { k: 2 })),
-        job("mis", Solver::Mis(MisAlgorithm::Degk { k: 2 })),
+        job("mm", "mm-rand:4".parse().unwrap()),
+        job("color", "color-degk:2".parse().unwrap()),
+        job("mis", "mis-degk:2".parse().unwrap()),
     ];
     let report = run_batch_compare(&jobs, EngineConfig::default(), &BatchOptions::default())
         .expect("batch must run");
@@ -291,7 +287,7 @@ fn solution_digests_and_counters_are_pinned() {
     let mut solvers = Vec::new();
     for problem in ["mm", "color", "mis"] {
         for algo in ["baseline", "bridge", "rand", "degk", "bicc"] {
-            solvers.push(sb_engine::jobs::parse_solver(problem, algo).unwrap());
+            solvers.push(Solver::parse(problem, algo).unwrap());
         }
     }
     let mut out = String::new();
@@ -309,21 +305,8 @@ fn solution_digests_and_counters_are_pinned() {
                     FrontierMode::Bitset,
                 ] {
                     let opts = SolveOpts::with_mode(mode);
-                    let (solution, stats) = sb_par::exec::with_threads(1, || match solver {
-                        Solver::Mm(a) => {
-                            let r = sb_core::matching::maximal_matching_opts(&g, a, arch, 7, &opts);
-                            (Solution::Mate(r.mate), r.stats)
-                        }
-                        Solver::Color(a) => {
-                            let r = sb_core::coloring::vertex_coloring_opts(&g, a, arch, 7, &opts);
-                            (Solution::Color(r.color), r.stats)
-                        }
-                        Solver::Mis(a) => {
-                            let r =
-                                sb_core::mis::maximal_independent_set_opts(&g, a, arch, 7, &opts);
-                            (Solution::Set(r.in_set), r.stats)
-                        }
-                    });
+                    let (solution, stats) =
+                        sb_par::exec::with_threads(1, || solve(&g, solver, None, arch, 7, &opts));
                     solution.verify(&g).unwrap();
                     let c = &stats.counters;
                     out.push_str(&format!(

@@ -12,8 +12,22 @@ const SEED: u64 = 2017; // the paper's year, why not
 #[test]
 fn vain_tendency_and_its_rand_cure() {
     let g = generate(GraphId::Rgg23, Scale::Factor(0.15), SEED);
-    let base = maximal_matching(&g, MmAlgorithm::Baseline, Arch::Cpu, SEED);
-    let rand = maximal_matching(&g, MmAlgorithm::Rand { partitions: 10 }, Arch::Cpu, SEED);
+    let base = maximal_matching(
+        &g,
+        Algo::Baseline,
+        None,
+        Arch::Cpu,
+        SEED,
+        &SolveOpts::default(),
+    );
+    let rand = maximal_matching(
+        &g,
+        Algo::Rand { partitions: 10 },
+        None,
+        Arch::Cpu,
+        SEED,
+        &SolveOpts::default(),
+    );
     check_maximal_matching(&g, &base.mate).unwrap();
     check_maximal_matching(&g, &rand.mate).unwrap();
     assert!(
@@ -104,9 +118,8 @@ fn mis_deg2_crossover() {
 
     // lp1: > 90% of vertices have degree ≤ 2 → Deg2 must do less work.
     let lp1 = generate(GraphId::Lp1, Scale::Factor(0.4), SEED);
-    let base = maximal_independent_set_opts(&lp1, MisAlgorithm::Baseline, Arch::Cpu, SEED, &dense);
-    let deg2 =
-        maximal_independent_set_opts(&lp1, MisAlgorithm::Degk { k: 2 }, Arch::Cpu, SEED, &dense);
+    let base = maximal_independent_set(&lp1, Algo::Baseline, None, Arch::Cpu, SEED, &dense);
+    let deg2 = maximal_independent_set(&lp1, Algo::Degk { k: 2 }, None, Arch::Cpu, SEED, &dense);
     check_maximal_independent_set(&lp1, &base.in_set).unwrap();
     check_maximal_independent_set(&lp1, &deg2.in_set).unwrap();
     assert!(
@@ -118,9 +131,8 @@ fn mis_deg2_crossover() {
 
     // rgg: no degree-≤2 vertices → the decomposition is pure overhead.
     let rgg = generate(GraphId::Rgg23, Scale::Factor(0.1), SEED);
-    let base = maximal_independent_set_opts(&rgg, MisAlgorithm::Baseline, Arch::Cpu, SEED, &dense);
-    let deg2 =
-        maximal_independent_set_opts(&rgg, MisAlgorithm::Degk { k: 2 }, Arch::Cpu, SEED, &dense);
+    let base = maximal_independent_set(&rgg, Algo::Baseline, None, Arch::Cpu, SEED, &dense);
+    let deg2 = maximal_independent_set(&rgg, Algo::Degk { k: 2 }, None, Arch::Cpu, SEED, &dense);
     assert!(
         work(&deg2) >= work(&base),
         "on rgg, MIS-Deg2 ({}) cannot beat LubyMIS ({})",
@@ -136,7 +148,14 @@ fn mis_deg2_crossover() {
 fn color_degk_palette_bound() {
     for id in [GraphId::Lp1, GraphId::GermanyOsm, GraphId::Webbase1M] {
         let g = generate(id, Scale::Tiny, SEED);
-        let run = vertex_coloring(&g, ColorAlgorithm::Degk { k: 2 }, Arch::Cpu, SEED);
+        let run = vertex_coloring(
+            &g,
+            Algo::Degk { k: 2 },
+            None,
+            Arch::Cpu,
+            SEED,
+            &SolveOpts::default(),
+        );
         check_coloring(&g, &run.color).unwrap();
         let d = decompose_degk(&g, 2, &Counters::new());
         let high_colors: std::collections::BTreeSet<u32> = g
@@ -158,8 +177,22 @@ fn color_degk_palette_bound() {
 #[test]
 fn mis_bridge_noncompetitive() {
     let g = generate(GraphId::RoadCentral, Scale::Factor(0.3), SEED);
-    let base = maximal_independent_set(&g, MisAlgorithm::Baseline, Arch::Cpu, SEED);
-    let bridge = maximal_independent_set(&g, MisAlgorithm::Bridge, Arch::Cpu, SEED);
+    let base = maximal_independent_set(
+        &g,
+        Algo::Baseline,
+        None,
+        Arch::Cpu,
+        SEED,
+        &SolveOpts::default(),
+    );
+    let bridge = maximal_independent_set(
+        &g,
+        Algo::Bridge,
+        None,
+        Arch::Cpu,
+        SEED,
+        &SolveOpts::default(),
+    );
     let work = |r: &symmetry_breaking::prelude::MisRun| {
         r.stats.counters.work_items + r.stats.counters.edges_scanned
     };
@@ -176,15 +209,16 @@ fn mis_bridge_noncompetitive() {
 fn gpu_model_matching_ordering_on_kron() {
     let dense = SolveOpts::with_mode(FrontierMode::Dense);
     let g = generate(GraphId::KronLogn20, Scale::Factor(0.5), SEED);
-    let base = maximal_matching_opts(&g, MmAlgorithm::Baseline, Arch::GpuSim, SEED, &dense);
-    let rand = maximal_matching_opts(
+    let base = maximal_matching(&g, Algo::Baseline, None, Arch::GpuSim, SEED, &dense);
+    let rand = maximal_matching(
         &g,
-        MmAlgorithm::Rand { partitions: 100 },
+        Algo::Rand { partitions: 100 },
+        None,
         Arch::GpuSim,
         SEED,
         &dense,
     );
-    let bridge = maximal_matching_opts(&g, MmAlgorithm::Bridge, Arch::GpuSim, SEED, &dense);
+    let bridge = maximal_matching(&g, Algo::Bridge, None, Arch::GpuSim, SEED, &dense);
     let ms = |r: &MatchingRun| r.stats.modeled_gpu_ms();
     assert!(
         ms(&rand) < ms(&base),

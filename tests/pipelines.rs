@@ -22,14 +22,14 @@ fn test_graphs() -> Vec<(GraphId, Graph)> {
 fn matching_pipeline_all_algorithms() {
     for (id, g) in test_graphs() {
         for algo in [
-            MmAlgorithm::Baseline,
-            MmAlgorithm::Bridge,
-            MmAlgorithm::Rand { partitions: 10 },
-            MmAlgorithm::Degk { k: 2 },
-            MmAlgorithm::Bicc,
+            Algo::Baseline,
+            Algo::Bridge,
+            Algo::Rand { partitions: 10 },
+            Algo::Degk { k: 2 },
+            Algo::Bicc,
         ] {
             for arch in [Arch::Cpu, Arch::GpuSim] {
-                let run = maximal_matching(&g, algo, arch, 7);
+                let run = maximal_matching(&g, algo, None, arch, 7, &SolveOpts::default());
                 check_maximal_matching(&g, &run.mate)
                     .unwrap_or_else(|e| panic!("{id:?} {algo:?} {arch}: {e}"));
                 assert!(
@@ -45,14 +45,14 @@ fn matching_pipeline_all_algorithms() {
 fn coloring_pipeline_all_algorithms() {
     for (id, g) in test_graphs() {
         for algo in [
-            ColorAlgorithm::Baseline,
-            ColorAlgorithm::Bridge,
-            ColorAlgorithm::Rand { partitions: 2 },
-            ColorAlgorithm::Degk { k: 2 },
-            ColorAlgorithm::Bicc,
+            Algo::Baseline,
+            Algo::Bridge,
+            Algo::Rand { partitions: 2 },
+            Algo::Degk { k: 2 },
+            Algo::Bicc,
         ] {
             for arch in [Arch::Cpu, Arch::GpuSim] {
-                let run = vertex_coloring(&g, algo, arch, 7);
+                let run = vertex_coloring(&g, algo, None, arch, 7, &SolveOpts::default());
                 check_coloring(&g, &run.color)
                     .unwrap_or_else(|e| panic!("{id:?} {algo:?} {arch}: {e}"));
                 // Any proper coloring needs at least 2 colors on a graph
@@ -73,14 +73,14 @@ fn coloring_pipeline_all_algorithms() {
 fn mis_pipeline_all_algorithms() {
     for (id, g) in test_graphs() {
         for algo in [
-            MisAlgorithm::Baseline,
-            MisAlgorithm::Bridge,
-            MisAlgorithm::Rand { partitions: 10 },
-            MisAlgorithm::Degk { k: 2 },
-            MisAlgorithm::Bicc,
+            Algo::Baseline,
+            Algo::Bridge,
+            Algo::Rand { partitions: 10 },
+            Algo::Degk { k: 2 },
+            Algo::Bicc,
         ] {
             for arch in [Arch::Cpu, Arch::GpuSim] {
-                let run = maximal_independent_set(&g, algo, arch, 7);
+                let run = maximal_independent_set(&g, algo, None, arch, 7, &SolveOpts::default());
                 check_maximal_independent_set(&g, &run.in_set)
                     .unwrap_or_else(|e| panic!("{id:?} {algo:?} {arch}: {e}"));
                 assert!(run.size() > 0, "{id:?} {algo:?} {arch}: empty MIS");
@@ -135,16 +135,47 @@ fn solution_quality_is_comparable_across_algorithms() {
     // matchings within 25% of the baseline's cardinality, MIS within 25%,
     // colors within 50% (§IV-D reports a few percent in the paper).
     for (id, g) in test_graphs() {
-        let base_m = maximal_matching(&g, MmAlgorithm::Baseline, Arch::Cpu, 3).cardinality();
-        let rand_m =
-            maximal_matching(&g, MmAlgorithm::Rand { partitions: 10 }, Arch::Cpu, 3).cardinality();
+        let base_m = maximal_matching(
+            &g,
+            Algo::Baseline,
+            None,
+            Arch::Cpu,
+            3,
+            &SolveOpts::default(),
+        )
+        .cardinality();
+        let rand_m = maximal_matching(
+            &g,
+            Algo::Rand { partitions: 10 },
+            None,
+            Arch::Cpu,
+            3,
+            &SolveOpts::default(),
+        )
+        .cardinality();
         assert!(
             (rand_m as f64) > 0.75 * base_m as f64,
             "{id:?}: MM-Rand cardinality {rand_m} vs baseline {base_m}"
         );
 
-        let base_i = maximal_independent_set(&g, MisAlgorithm::Baseline, Arch::Cpu, 3).size();
-        let deg2_i = maximal_independent_set(&g, MisAlgorithm::Degk { k: 2 }, Arch::Cpu, 3).size();
+        let base_i = maximal_independent_set(
+            &g,
+            Algo::Baseline,
+            None,
+            Arch::Cpu,
+            3,
+            &SolveOpts::default(),
+        )
+        .size();
+        let deg2_i = maximal_independent_set(
+            &g,
+            Algo::Degk { k: 2 },
+            None,
+            Arch::Cpu,
+            3,
+            &SolveOpts::default(),
+        )
+        .size();
         assert!(
             (deg2_i as f64) > 0.75 * base_i as f64,
             "{id:?}: MIS-Deg2 size {deg2_i} vs baseline {base_i}"

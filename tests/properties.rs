@@ -64,13 +64,13 @@ proptest! {
     #[test]
     fn matchings_always_maximal(g in arb_graph(90, 250), seed in 0u64..20) {
         for algo in [
-            MmAlgorithm::Baseline,
-            MmAlgorithm::Bridge,
-            MmAlgorithm::Rand { partitions: 3 },
-            MmAlgorithm::Degk { k: 2 },
+            Algo::Baseline,
+            Algo::Bridge,
+            Algo::Rand { partitions: 3 },
+            Algo::Degk { k: 2 },
         ] {
             for arch in [Arch::Cpu, Arch::GpuSim] {
-                let run = maximal_matching(&g, algo, arch, seed);
+                let run = maximal_matching(&g, algo, None, arch, seed, &SolveOpts::default());
                 check_maximal_matching(&g, &run.mate)
                     .map_err(|e| TestCaseError::fail(format!("{algo:?} {arch}: {e}")))?;
             }
@@ -80,13 +80,13 @@ proptest! {
     #[test]
     fn colorings_always_proper(g in arb_graph(90, 250), seed in 0u64..20) {
         for algo in [
-            ColorAlgorithm::Baseline,
-            ColorAlgorithm::Bridge,
-            ColorAlgorithm::Rand { partitions: 3 },
-            ColorAlgorithm::Degk { k: 2 },
+            Algo::Baseline,
+            Algo::Bridge,
+            Algo::Rand { partitions: 3 },
+            Algo::Degk { k: 2 },
         ] {
             for arch in [Arch::Cpu, Arch::GpuSim] {
-                let run = vertex_coloring(&g, algo, arch, seed);
+                let run = vertex_coloring(&g, algo, None, arch, seed, &SolveOpts::default());
                 check_coloring(&g, &run.color)
                     .map_err(|e| TestCaseError::fail(format!("{algo:?} {arch}: {e}")))?;
             }
@@ -96,13 +96,13 @@ proptest! {
     #[test]
     fn mis_always_maximal_independent(g in arb_graph(90, 250), seed in 0u64..20) {
         for algo in [
-            MisAlgorithm::Baseline,
-            MisAlgorithm::Bridge,
-            MisAlgorithm::Rand { partitions: 3 },
-            MisAlgorithm::Degk { k: 2 },
+            Algo::Baseline,
+            Algo::Bridge,
+            Algo::Rand { partitions: 3 },
+            Algo::Degk { k: 2 },
         ] {
             for arch in [Arch::Cpu, Arch::GpuSim] {
-                let run = maximal_independent_set(&g, algo, arch, seed);
+                let run = maximal_independent_set(&g, algo, None, arch, seed, &SolveOpts::default());
                 check_maximal_independent_set(&g, &run.in_set)
                     .map_err(|e| TestCaseError::fail(format!("{algo:?} {arch}: {e}")))?;
             }
@@ -190,7 +190,7 @@ proptest! {
             JpOrdering::LargestDegreeFirst,
             JpOrdering::SmallestDegreeLast,
         ] {
-            let c = jp_color_ordered(&g, ordering, seed, &Counters::new());
+            let c = jp_color_ordered(&g, ordering, seed, &Counters::new(), FrontierMode::default());
             check_coloring(&g, &c)
                 .map_err(|e| TestCaseError::fail(format!("{ordering:?}: {e}")))?;
         }
@@ -220,7 +220,7 @@ proptest! {
         let d = decompose_degk(&g, 2, &Counters::new());
         let low_side: Vec<bool> = d.is_high.iter().map(|&h| !h).collect();
         let mut st = vec![0u8; g.num_vertices()];
-        oriented_mis_extend(&g, d.low_view(), &mut st, Some(&low_side), &Counters::new());
+        oriented_mis_extend(&g, d.low_view(), &mut st, Some(&low_side), &Counters::new(), FrontierMode::default());
         let in_set: Vec<bool> = st.iter().map(|&s| s == 1).collect();
         check_independent_set(&d.low_graph(&g), &in_set).unwrap();
         // Every low vertex must be decided.
@@ -298,9 +298,23 @@ fn rand_partition_with_more_parts_than_vertices() {
         assert_eq!(d.m_induced + d.m_cross, g.num_edges());
         // Solves over the oversplit decomposition still finish and verify.
         for arch in [Arch::Cpu, Arch::GpuSim] {
-            let run = maximal_matching(&g, MmAlgorithm::Rand { partitions: k }, arch, 7);
+            let run = maximal_matching(
+                &g,
+                Algo::Rand { partitions: k },
+                None,
+                arch,
+                7,
+                &SolveOpts::default(),
+            );
             check_maximal_matching(&g, &run.mate).unwrap();
-            let run = maximal_independent_set(&g, MisAlgorithm::Rand { partitions: k }, arch, 7);
+            let run = maximal_independent_set(
+                &g,
+                Algo::Rand { partitions: k },
+                None,
+                arch,
+                7,
+                &SolveOpts::default(),
+            );
             check_maximal_independent_set(&g, &run.in_set).unwrap();
         }
     }
@@ -315,12 +329,26 @@ fn degk_on_all_isolated_vertices() {
         assert_eq!(d.m_high + d.m_low + d.m_cross, 0);
     }
     for arch in [Arch::Cpu, Arch::GpuSim] {
-        let run = maximal_independent_set(&g, MisAlgorithm::Degk { k: 2 }, arch, 7);
+        let run = maximal_independent_set(
+            &g,
+            Algo::Degk { k: 2 },
+            None,
+            arch,
+            7,
+            &SolveOpts::default(),
+        );
         assert!(
             run.in_set.iter().all(|&b| b),
             "isolated vertices all join the MIS"
         );
-        let run = maximal_matching(&g, MmAlgorithm::Degk { k: 2 }, arch, 7);
+        let run = maximal_matching(
+            &g,
+            Algo::Degk { k: 2 },
+            None,
+            arch,
+            7,
+            &SolveOpts::default(),
+        );
         check_maximal_matching(&g, &run.mate).unwrap();
     }
 }
@@ -331,11 +359,12 @@ fn bridge_on_empty_and_fully_disconnected_graphs() {
         let d = decompose_bridge(&g, &Counters::new());
         assert!(d.bridges.is_empty());
         for arch in [Arch::Cpu, Arch::GpuSim] {
-            let mm = maximal_matching(&g, MmAlgorithm::Bridge, arch, 7);
+            let mm = maximal_matching(&g, Algo::Bridge, None, arch, 7, &SolveOpts::default());
             check_maximal_matching(&g, &mm.mate).unwrap();
-            let mis = maximal_independent_set(&g, MisAlgorithm::Bridge, arch, 7);
+            let mis =
+                maximal_independent_set(&g, Algo::Bridge, None, arch, 7, &SolveOpts::default());
             check_maximal_independent_set(&g, &mis.in_set).unwrap();
-            let col = vertex_coloring(&g, ColorAlgorithm::Bridge, arch, 7);
+            let col = vertex_coloring(&g, Algo::Bridge, None, arch, 7, &SolveOpts::default());
             check_coloring(&g, &col.color).unwrap();
         }
     }
@@ -347,11 +376,11 @@ fn single_vertex_and_single_edge_solves() {
         for arch in [Arch::Cpu, Arch::GpuSim] {
             for mode in [FrontierMode::Dense, FrontierMode::Compact] {
                 let opts = SolveOpts::with_mode(mode);
-                let mm = maximal_matching_opts(&g, MmAlgorithm::Baseline, arch, 7, &opts);
+                let mm = maximal_matching(&g, Algo::Baseline, None, arch, 7, &opts);
                 check_maximal_matching(&g, &mm.mate).unwrap();
-                let mis = maximal_independent_set_opts(&g, MisAlgorithm::Baseline, arch, 7, &opts);
+                let mis = maximal_independent_set(&g, Algo::Baseline, None, arch, 7, &opts);
                 check_maximal_independent_set(&g, &mis.in_set).unwrap();
-                let col = vertex_coloring_opts(&g, ColorAlgorithm::Baseline, arch, 7, &opts);
+                let col = vertex_coloring(&g, Algo::Baseline, None, arch, 7, &opts);
                 check_coloring(&g, &col.color).unwrap();
             }
         }

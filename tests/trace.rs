@@ -57,14 +57,24 @@ fn jsonl_replay_reconstructs_counter_totals() {
     let g = generate(GraphId::Lp1, Scale::Tiny, SEED);
 
     let mm_algos = [
-        MmAlgorithm::Baseline,
-        MmAlgorithm::Bridge,
-        MmAlgorithm::Rand { partitions: 3 },
-        MmAlgorithm::Degk { k: 2 },
+        Algo::Baseline,
+        Algo::Bridge,
+        Algo::Rand { partitions: 3 },
+        Algo::Degk { k: 2 },
     ];
     for algo in mm_algos {
         let sink = Arc::new(TraceSink::enabled());
-        let run = maximal_matching_traced(&g, algo, Arch::Cpu, SEED, Some(sink.clone()));
+        let run = maximal_matching(
+            &g,
+            algo,
+            None,
+            Arch::Cpu,
+            SEED,
+            &SolveOpts {
+                trace: Some(sink.clone()),
+                ..SolveOpts::default()
+            },
+        );
         let events = parse_jsonl(&to_jsonl(&sink)).unwrap();
         assert_eq!(
             total_delta(&events),
@@ -74,13 +84,23 @@ fn jsonl_replay_reconstructs_counter_totals() {
     }
 
     let color_algos = [
-        ColorAlgorithm::Baseline,
-        ColorAlgorithm::Rand { partitions: 2 },
-        ColorAlgorithm::Degk { k: 2 },
+        Algo::Baseline,
+        Algo::Rand { partitions: 2 },
+        Algo::Degk { k: 2 },
     ];
     for algo in color_algos {
         let sink = Arc::new(TraceSink::enabled());
-        let run = vertex_coloring_traced(&g, algo, Arch::Cpu, SEED, Some(sink.clone()));
+        let run = vertex_coloring(
+            &g,
+            algo,
+            None,
+            Arch::Cpu,
+            SEED,
+            &SolveOpts {
+                trace: Some(sink.clone()),
+                ..SolveOpts::default()
+            },
+        );
         let events = parse_jsonl(&to_jsonl(&sink)).unwrap();
         assert_eq!(
             total_delta(&events),
@@ -90,14 +110,24 @@ fn jsonl_replay_reconstructs_counter_totals() {
     }
 
     let mis_algos = [
-        MisAlgorithm::Baseline,
-        MisAlgorithm::Rand { partitions: 3 },
-        MisAlgorithm::Degk { k: 2 },
-        MisAlgorithm::Bicc,
+        Algo::Baseline,
+        Algo::Rand { partitions: 3 },
+        Algo::Degk { k: 2 },
+        Algo::Bicc,
     ];
     for algo in mis_algos {
         let sink = Arc::new(TraceSink::enabled());
-        let run = maximal_independent_set_traced(&g, algo, Arch::Cpu, SEED, Some(sink.clone()));
+        let run = maximal_independent_set(
+            &g,
+            algo,
+            None,
+            Arch::Cpu,
+            SEED,
+            &SolveOpts {
+                trace: Some(sink.clone()),
+                ..SolveOpts::default()
+            },
+        );
         let events = parse_jsonl(&to_jsonl(&sink)).unwrap();
         assert_eq!(
             total_delta(&events),
@@ -116,20 +146,28 @@ fn rand_cross_phase_beats_gm_rounds_on_trace() {
     let g = generate(GraphId::Rgg23, Scale::Factor(0.15), SEED);
 
     let base_sink = Arc::new(TraceSink::enabled());
-    let base = maximal_matching_traced(
+    let base = maximal_matching(
         &g,
-        MmAlgorithm::Baseline,
+        Algo::Baseline,
+        None,
         Arch::Cpu,
         SEED,
-        Some(base_sink.clone()),
+        &SolveOpts {
+            trace: Some(base_sink.clone()),
+            ..SolveOpts::default()
+        },
     );
     let rand_sink = Arc::new(TraceSink::enabled());
-    let rand = maximal_matching_traced(
+    let rand = maximal_matching(
         &g,
-        MmAlgorithm::Rand { partitions: 10 },
+        Algo::Rand { partitions: 10 },
+        None,
         Arch::Cpu,
         SEED,
-        Some(rand_sink.clone()),
+        &SolveOpts {
+            trace: Some(rand_sink.clone()),
+            ..SolveOpts::default()
+        },
     );
     check_maximal_matching(&g, &base.mate).unwrap();
     check_maximal_matching(&g, &rand.mate).unwrap();
@@ -152,12 +190,16 @@ fn rand_cross_phase_beats_gm_rounds_on_trace() {
 fn round_indices_are_contiguous_and_monotone_per_span() {
     let g = generate(GraphId::Lp1, Scale::Tiny, SEED);
     let sink = Arc::new(TraceSink::enabled());
-    maximal_independent_set_traced(
+    maximal_independent_set(
         &g,
-        MisAlgorithm::Degk { k: 2 },
+        Algo::Degk { k: 2 },
+        None,
         Arch::Cpu,
         SEED,
-        Some(sink.clone()),
+        &SolveOpts {
+            trace: Some(sink.clone()),
+            ..SolveOpts::default()
+        },
     );
 
     let mut next: HashMap<Option<u32>, u64> = HashMap::new();
@@ -181,14 +223,25 @@ fn round_indices_are_contiguous_and_monotone_per_span() {
 #[test]
 fn disabled_sink_matches_untraced_run() {
     let g = generate(GraphId::Lp1, Scale::Tiny, SEED);
-    let plain = maximal_matching(&g, MmAlgorithm::Rand { partitions: 3 }, Arch::Cpu, SEED);
-    let sink = Arc::new(TraceSink::disabled());
-    let traced = maximal_matching_traced(
+    let plain = maximal_matching(
         &g,
-        MmAlgorithm::Rand { partitions: 3 },
+        Algo::Rand { partitions: 3 },
+        None,
         Arch::Cpu,
         SEED,
-        Some(sink.clone()),
+        &SolveOpts::default(),
+    );
+    let sink = Arc::new(TraceSink::disabled());
+    let traced = maximal_matching(
+        &g,
+        Algo::Rand { partitions: 3 },
+        None,
+        Arch::Cpu,
+        SEED,
+        &SolveOpts {
+            trace: Some(sink.clone()),
+            ..SolveOpts::default()
+        },
     );
     assert_eq!(plain.mate, traced.mate);
     assert_eq!(
