@@ -1,7 +1,7 @@
 //! Decomposition-based coloring (Algorithms 7–9 of the paper).
 
-use super::{eb, vb, vb_window, ColoringRun};
-use crate::common::{Arch, FrontierMode, RunCtx, RunStats};
+use super::{eb, vb, vb_window};
+use crate::common::{Arch, FrontierMode, RunCtx};
 use crate::matching::materialize_for_gpu;
 use rayon::prelude::*;
 use sb_decompose::bicc::BiccDecomposition;
@@ -11,8 +11,7 @@ use sb_decompose::rand_part::RandDecomposition;
 use sb_graph::csr::{Graph, VertexId, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::bsp::BspExecutor;
-use sb_par::counters::{Counters, Stopwatch};
-use sb_par::frontier::Scratch;
+use sb_par::counters::Counters;
 
 /// Color the vertices of `worklist` against the edges of `view`, with the
 /// architecture's baseline, drawing colors from `base` upward using a
@@ -21,20 +20,16 @@ use sb_par::frontier::Scratch;
 /// materialize the piece first (streaming is cheap on-device; see
 /// `matching::base_extend`); in `Compact` mode both architectures run
 /// worklist-compacted solvers zero-copy against the masked view.
-#[allow(clippy::too_many_arguments)]
 fn base_color_extend(
-    g: &Graph,
+    run: &mut RunCtx<'_>,
     view: EdgeView<'_>,
     color: &mut [u32],
     worklist: Vec<VertexId>,
     base: u32,
     window: usize,
-    arch: Arch,
-    counters: &Counters,
-    mode: FrontierMode,
-    scratch: &mut Scratch,
 ) {
-    match (arch, mode) {
+    let (g, counters, scratch) = (run.g, run.counters, &mut run.scratch);
+    match (run.arch, run.mode) {
         (Arch::Cpu, FrontierMode::Dense) => {
             vb::vb_extend(g, view, color, worklist, window, base, counters)
         }
@@ -68,39 +63,17 @@ fn base_color_extend(
 }
 
 /// The architecture's baseline colorer on the whole graph (Figure 4's bar).
-pub(super) fn baseline(run: RunCtx<'_>) -> ColoringRun {
-    let RunCtx {
-        g,
-        arch,
-        opts,
-        counters,
-        decompose_time,
-        ..
-    } = run;
-    let mut scratch = Scratch::new();
-    let sw = Stopwatch::start();
-    let mut color = vec![INVALID; g.num_vertices()];
-    {
-        let _span = counters.phase("solve");
-        base_color_extend(
-            g,
-            EdgeView::full(),
-            &mut color,
-            g.vertices().collect(),
-            0,
-            vb_window(g),
-            arch,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
-    }
-    let solve_time = sw.elapsed();
-    ColoringRun {
+pub(super) fn baseline(run: &mut RunCtx<'_>, color: &mut [u32]) {
+    let g = run.g;
+    let _span = run.counters.phase("solve");
+    base_color_extend(
+        run,
+        EdgeView::full(),
         color,
-        stats: RunStats::from_counters(decompose_time, solve_time, &counters)
-            .with_scratch(scratch.stats()),
-    }
+        g.vertices().collect(),
+        0,
+        vb_window(g),
+    );
 }
 
 /// Uncolor the lower-id endpoint of every monochromatic edge admitted by
@@ -140,57 +113,24 @@ fn reset_conflicts(
 ///
 /// Color `G_c` (the 2-edge-connected components share one palette), test
 /// validity against the bridges, recolor the conflicted vertices in `G`.
-pub(super) fn color_bridge(run: RunCtx<'_>, d: &BridgeDecomposition) -> ColoringRun {
-    let RunCtx {
-        g,
-        arch,
-        opts,
-        counters,
-        decompose_time,
-        ..
-    } = run;
-    let mut scratch = Scratch::new();
-    let sw = Stopwatch::start();
-    let mut color = vec![INVALID; g.num_vertices()];
+pub(super) fn color_bridge(run: &mut RunCtx<'_>, d: &BridgeDecomposition, color: &mut [u32]) {
+    let g = run.g;
     {
-        let _span = counters.phase("induced-solve");
+        let _span = run.counters.phase("induced-solve");
         base_color_extend(
-            g,
+            run,
             d.component_view(),
-            &mut color,
+            color,
             g.vertices().collect(),
             0,
             vb_window(g),
-            arch,
-            &counters,
-            opts.frontier,
-            &mut scratch,
         );
     }
     // Only bridge edges can conflict.
     {
-        let _span = counters.phase("cross-solve");
-        let conflicted =
-            reset_conflicts(g, d.bridge_view(), d.bridges.len(), &mut color, &counters);
-        base_color_extend(
-            g,
-            EdgeView::full(),
-            &mut color,
-            conflicted,
-            0,
-            vb_window(g),
-            arch,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
-    }
-    let solve_time = sw.elapsed();
-
-    ColoringRun {
-        color,
-        stats: RunStats::from_counters(decompose_time, solve_time, &counters)
-            .with_scratch(scratch.stats()),
+        let _span = run.counters.phase("cross-solve");
+        let conflicted = reset_conflicts(g, d.bridge_view(), d.bridges.len(), color, run.counters);
+        base_color_extend(run, EdgeView::full(), color, conflicted, 0, vb_window(g));
     }
 }
 
@@ -198,56 +138,24 @@ pub(super) fn color_bridge(run: RunCtx<'_>, d: &BridgeDecomposition) -> Coloring
 ///
 /// Color the induced partition subgraphs with an identical palette, then
 /// recolor the endpoints that conflict across cross edges.
-pub(super) fn color_rand(run: RunCtx<'_>, d: &RandDecomposition) -> ColoringRun {
-    let RunCtx {
-        g,
-        arch,
-        opts,
-        counters,
-        decompose_time,
-        ..
-    } = run;
-    let mut scratch = Scratch::new();
-    let sw = Stopwatch::start();
-    let mut color = vec![INVALID; g.num_vertices()];
+pub(super) fn color_rand(run: &mut RunCtx<'_>, d: &RandDecomposition, color: &mut [u32]) {
+    let g = run.g;
     {
-        let _span = counters.phase("induced-solve");
+        let _span = run.counters.phase("induced-solve");
         base_color_extend(
-            g,
+            run,
             d.induced_view(),
-            &mut color,
+            color,
             g.vertices().collect(),
             0,
             vb_window(g),
-            arch,
-            &counters,
-            opts.frontier,
-            &mut scratch,
         );
     }
     // Only cross edges can conflict.
     {
-        let _span = counters.phase("cross-solve");
-        let conflicted = reset_conflicts(g, d.cross_view(), d.m_cross, &mut color, &counters);
-        base_color_extend(
-            g,
-            EdgeView::full(),
-            &mut color,
-            conflicted,
-            0,
-            vb_window(g),
-            arch,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
-    }
-    let solve_time = sw.elapsed();
-
-    ColoringRun {
-        color,
-        stats: RunStats::from_counters(decompose_time, solve_time, &counters)
-            .with_scratch(scratch.stats()),
+        let _span = run.counters.phase("cross-solve");
+        let conflicted = reset_conflicts(g, d.cross_view(), d.m_cross, color, run.counters);
+        base_color_extend(run, EdgeView::full(), color, conflicted, 0, vb_window(g));
     }
 }
 
@@ -257,21 +165,10 @@ pub(super) fn color_rand(run: RunCtx<'_>, d: &RandDecomposition) -> ColoringRun 
 /// `G_L` is then colored with a fresh palette of `k + 1` colors above
 /// `max(C_H)` using a `(k+1)`-entry FORBIDDEN window (degree ≤ k inside
 /// `G_L` guarantees the palette suffices).
-pub(super) fn color_degk(run: RunCtx<'_>, d: &DegkDecomposition) -> ColoringRun {
-    let RunCtx {
-        g,
-        arch,
-        opts,
-        counters,
-        decompose_time,
-        ..
-    } = run;
+pub(super) fn color_degk(run: &mut RunCtx<'_>, d: &DegkDecomposition, color: &mut [u32]) {
     let k = d.k;
-    let sw = Stopwatch::start();
-    let mut scratch = Scratch::new();
-    let mut color = vec![INVALID; g.num_vertices()];
     {
-        let _span = counters.phase("induced-solve");
+        let _span = run.counters.phase("induced-solve");
         let high: Vec<VertexId> = d.high_vertices();
         // Window for the high phase: the average degree of G_H (the paper's
         // VB rule applied to the graph actually being colored).
@@ -280,21 +177,10 @@ pub(super) fn color_degk(run: RunCtx<'_>, d: &DegkDecomposition) -> ColoringRun 
         } else {
             (2 * d.m_high).div_ceil(high.len()).max(2)
         };
-        base_color_extend(
-            g,
-            d.high_view(),
-            &mut color,
-            high,
-            0,
-            high_window,
-            arch,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
+        base_color_extend(run, d.high_view(), color, high, 0, high_window);
     }
     {
-        let _span = counters.phase("fringe-peel");
+        let _span = run.counters.phase("fringe-peel");
         let base = color
             .par_iter()
             .filter(|&&c| c != INVALID)
@@ -304,25 +190,7 @@ pub(super) fn color_degk(run: RunCtx<'_>, d: &DegkDecomposition) -> ColoringRun 
         // edges can conflict (cross edges lead to colors below `base`), so
         // the window scan runs on the low view.
         let low: Vec<VertexId> = d.low_vertices();
-        base_color_extend(
-            g,
-            d.low_view(),
-            &mut color,
-            low,
-            base,
-            k + 1,
-            arch,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
-    }
-    let solve_time = sw.elapsed();
-
-    ColoringRun {
-        color,
-        stats: RunStats::from_counters(decompose_time, solve_time, &counters)
-            .with_scratch(scratch.stats()),
+        base_color_extend(run, d.low_view(), color, low, base, k + 1);
     }
 }
 
@@ -333,63 +201,24 @@ pub(super) fn color_degk(run: RunCtx<'_>, d: &DegkDecomposition) -> ColoringRun 
 /// disconnected and share one palette; no conflicts are possible across
 /// blocks. Phase 2 colors the (few) articulation vertices against their
 /// already-colored neighborhoods.
-pub(super) fn color_bicc(run: RunCtx<'_>, d: &BiccDecomposition) -> ColoringRun {
-    let RunCtx {
-        g,
-        arch,
-        opts,
-        counters,
-        decompose_time,
-        ..
-    } = run;
-    let mut scratch = Scratch::new();
-    let sw = Stopwatch::start();
-    let mut color = vec![INVALID; g.num_vertices()];
+pub(super) fn color_bicc(run: &mut RunCtx<'_>, d: &BiccDecomposition, color: &mut [u32]) {
+    let g = run.g;
     {
-        let _span = counters.phase("induced-solve");
+        let _span = run.counters.phase("induced-solve");
         let interior: Vec<VertexId> = (0..g.num_vertices() as u32)
             .filter(|&v| !d.is_articulation[v as usize])
             .collect();
         // The interior pieces must not see the withheld articulation
         // vertices as neighbors (they are uncolored anyway), so the full
         // view is safe.
-        base_color_extend(
-            g,
-            EdgeView::full(),
-            &mut color,
-            interior,
-            0,
-            vb_window(g),
-            arch,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
+        base_color_extend(run, EdgeView::full(), color, interior, 0, vb_window(g));
     }
     {
-        let _span = counters.phase("cleanup");
+        let _span = run.counters.phase("cleanup");
         let cuts: Vec<VertexId> = (0..g.num_vertices() as u32)
             .filter(|&v| d.is_articulation[v as usize])
             .collect();
-        base_color_extend(
-            g,
-            EdgeView::full(),
-            &mut color,
-            cuts,
-            0,
-            vb_window(g),
-            arch,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
-    }
-    let solve_time = sw.elapsed();
-
-    ColoringRun {
-        color,
-        stats: RunStats::from_counters(decompose_time, solve_time, &counters)
-            .with_scratch(scratch.stats()),
+        base_color_extend(run, EdgeView::full(), color, cuts, 0, vb_window(g));
     }
 }
 

@@ -18,7 +18,8 @@ pub mod vb;
 
 use crate::common::{Arch, RunCtx, RunStats, SolveOpts};
 use crate::solver::{self, Algo, Decomposition};
-use sb_graph::csr::Graph;
+use sb_graph::csr::{Graph, INVALID};
+use std::time::Duration;
 
 /// Result of a coloring run.
 #[derive(Debug, Clone)]
@@ -53,22 +54,24 @@ pub fn vertex_coloring(
 ) -> ColoringRun {
     use Decomposition as D;
     let counters = opts.counters();
-    let (inline, decompose_time) = solver::decompose_inline(g, algo, decomp, seed, &counters);
-    let run = RunCtx {
-        g,
-        arch,
-        seed,
-        opts,
-        counters,
-        decompose_time,
+    let (inline, decompose_time) = match decomp {
+        Some(_) => (None, Duration::ZERO),
+        None => Decomposition::compute(g, algo, seed, &counters),
     };
+    let mut run = RunCtx::new(g, arch, seed, opts.frontier, &counters, decompose_time);
+    let mut color = vec![INVALID; g.num_vertices()];
+    let c = &mut color;
     match (algo, decomp.or(inline.as_ref())) {
-        (Algo::Baseline, None) => decomp::baseline(run),
-        (Algo::Bridge, Some(D::Bridge(d))) => decomp::color_bridge(run, d),
-        (Algo::Rand { .. }, Some(D::Rand(d))) => decomp::color_rand(run, d),
-        (Algo::Degk { .. }, Some(D::Degk(d))) => decomp::color_degk(run, d),
-        (Algo::Bicc, Some(D::Bicc(d))) => decomp::color_bicc(run, d),
+        (Algo::Baseline, None) => decomp::baseline(&mut run, c),
+        (Algo::Bridge, Some(D::Bridge(d))) => decomp::color_bridge(&mut run, d, c),
+        (Algo::Rand { .. }, Some(D::Rand(d))) => decomp::color_rand(&mut run, d, c),
+        (Algo::Degk { .. }, Some(D::Degk(d))) => decomp::color_degk(&mut run, d, c),
+        (Algo::Bicc, Some(D::Bicc(d))) => decomp::color_bicc(&mut run, d, c),
         (algo, d) => solver::mismatch(algo, d),
+    }
+    ColoringRun {
+        color,
+        stats: run.finish(),
     }
 }
 

@@ -1,8 +1,8 @@
 //! Shared run configuration and reporting types.
 
 use sb_graph::csr::Graph;
-use sb_par::counters::{CounterSnapshot, Counters};
-use sb_par::frontier::ScratchStats;
+use sb_par::counters::{CounterSnapshot, Counters, Stopwatch};
+use sb_par::frontier::{Scratch, ScratchStats};
 use sb_trace::{TraceSink, TraceSummary};
 use std::sync::Arc;
 use std::time::Duration;
@@ -110,16 +110,48 @@ impl SolveOpts {
     }
 }
 
-/// What a composite carries into its phases: the input and its run
-/// parameters, the run's counter block, and the decomposition time
-/// already spent (zero when the decomposition was supplied).
+/// One composite run in flight: what every phase of it shares — the
+/// input, architecture, seed and frontier mode, the run's counter block
+/// and scratch arena — plus the decomposition time already spent (zero
+/// when the decomposition was supplied) and the solve clock.
 pub(crate) struct RunCtx<'a> {
     pub g: &'a Graph,
     pub arch: Arch,
     pub seed: u64,
-    pub opts: &'a SolveOpts,
-    pub counters: Counters,
-    pub decompose_time: Duration,
+    pub mode: FrontierMode,
+    pub counters: &'a Counters,
+    pub scratch: Scratch,
+    decompose_time: Duration,
+    clock: Stopwatch,
+}
+
+impl<'a> RunCtx<'a> {
+    /// Start the solve phases of a run (the solve clock starts here).
+    pub fn new(
+        g: &'a Graph,
+        arch: Arch,
+        seed: u64,
+        mode: FrontierMode,
+        counters: &'a Counters,
+        decompose_time: Duration,
+    ) -> RunCtx<'a> {
+        RunCtx {
+            g,
+            arch,
+            seed,
+            mode,
+            counters,
+            scratch: Scratch::new(),
+            decompose_time,
+            clock: Stopwatch::start(),
+        }
+    }
+
+    /// The finished run's stats, solve time measured since [`RunCtx::new`].
+    pub fn finish(self) -> RunStats {
+        RunStats::from_counters(self.decompose_time, self.clock.elapsed(), self.counters)
+            .with_scratch(self.scratch.stats())
+    }
 }
 
 /// Timing and work breakdown of one solver run, reported next to every

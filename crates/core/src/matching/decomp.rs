@@ -7,111 +7,43 @@
 //! on the parent graph's vertex ids, so one `mate` array flows through all
 //! phases.
 
-use super::{base_extend, fresh_mate, MatchingRun};
-use crate::common::{RunCtx, RunStats};
+use super::base_extend;
+use crate::common::RunCtx;
 use sb_decompose::bicc::BiccDecomposition;
 use sb_decompose::bridge::BridgeDecomposition;
 use sb_decompose::degk::DegkDecomposition;
 use sb_decompose::rand_part::RandDecomposition;
 use sb_graph::csr::INVALID;
 use sb_graph::view::EdgeView;
-use sb_par::counters::Stopwatch;
-use sb_par::frontier::Scratch;
 
 /// Run the architecture's baseline matcher on the whole graph (no
 /// decomposition). This is the comparison bar in Figure 3.
-pub(super) fn baseline(run: RunCtx<'_>) -> MatchingRun {
-    let RunCtx {
-        g,
-        arch,
-        seed,
-        opts,
-        counters,
-        decompose_time,
-    } = run;
-    let mut scratch = Scratch::new();
-    let mut mate = fresh_mate(g.num_vertices());
-    let sw = Stopwatch::start();
-    {
-        let _span = counters.phase("solve");
-        base_extend(
-            g,
-            EdgeView::full(),
-            &mut mate,
-            None,
-            arch,
-            seed,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
-    }
-    let solve_time = sw.elapsed();
-    MatchingRun {
-        mate,
-        stats: RunStats::from_counters(decompose_time, solve_time, &counters)
-            .with_scratch(scratch.stats()),
-    }
+pub(super) fn baseline(run: &mut RunCtx<'_>, mate: &mut [u32]) {
+    let _span = run.counters.phase("solve");
+    base_extend(run, EdgeView::full(), mate, None, run.seed);
 }
 
 /// Algorithm 4 — MM-Bridge.
 ///
 /// Match the 2-edge-connected components `G_c`, then maximally match the
 /// subgraph of `G` induced by the still-unmatched bridge vertices.
-pub(super) fn mm_bridge(run: RunCtx<'_>, d: &BridgeDecomposition) -> MatchingRun {
-    let RunCtx {
-        g,
-        arch,
-        seed,
-        opts,
-        counters,
-        decompose_time,
-    } = run;
-    let mut scratch = Scratch::new();
-    let sw = Stopwatch::start();
-    let mut mate = fresh_mate(g.num_vertices());
+pub(super) fn mm_bridge(run: &mut RunCtx<'_>, d: &BridgeDecomposition, mate: &mut [u32]) {
+    let (g, seed) = (run.g, run.seed);
     // Phase 1: M_c on the components.
     {
-        let _span = counters.phase("induced-solve");
-        base_extend(
-            g,
-            d.component_view(),
-            &mut mate,
-            None,
-            arch,
-            seed,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
+        let _span = run.counters.phase("induced-solve");
+        base_extend(run, d.component_view(), mate, None, seed);
     }
     // Phase 2: M_b on G[V'], V' = unmatched bridge vertices.
     {
-        let _span = counters.phase("cross-solve");
+        let _span = run.counters.phase("cross-solve");
         let mut allowed = vec![false; g.num_vertices()];
         for v in d.bridge_vertices(g) {
             if mate[v as usize] == INVALID {
                 allowed[v as usize] = true;
             }
         }
-        base_extend(
-            g,
-            EdgeView::full(),
-            &mut mate,
-            Some(&allowed),
-            arch,
-            seed ^ 1,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
-    }
-    let solve_time = sw.elapsed();
-
-    MatchingRun {
-        mate,
-        stats: RunStats::from_counters(decompose_time, solve_time, &counters)
-            .with_scratch(scratch.stats()),
+        base_extend(run, EdgeView::full(), mate, Some(&allowed), seed ^ 1);
     }
 }
 
@@ -119,55 +51,18 @@ pub(super) fn mm_bridge(run: RunCtx<'_>, d: &BridgeDecomposition) -> MatchingRun
 ///
 /// Match the union of the induced partition subgraphs, then extend over the
 /// cross-edge subgraph `G_{k+1}`.
-pub(super) fn mm_rand(run: RunCtx<'_>, d: &RandDecomposition) -> MatchingRun {
-    let RunCtx {
-        g,
-        arch,
-        seed,
-        opts,
-        counters,
-        decompose_time,
-    } = run;
-    let mut scratch = Scratch::new();
-    let sw = Stopwatch::start();
-    let mut mate = fresh_mate(g.num_vertices());
+pub(super) fn mm_rand(run: &mut RunCtx<'_>, d: &RandDecomposition, mate: &mut [u32]) {
+    let seed = run.seed;
     // Phase 1: M_IS on G[V_1] ∪ … ∪ G[V_k].
     {
-        let _span = counters.phase("induced-solve");
-        base_extend(
-            g,
-            d.induced_view(),
-            &mut mate,
-            None,
-            arch,
-            seed ^ 2,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
+        let _span = run.counters.phase("induced-solve");
+        base_extend(run, d.induced_view(), mate, None, seed ^ 2);
     }
     // Phase 2: M_{k+1} on the unmatched part of G_{k+1} (the solver skips
     // matched endpoints, which is exactly the G_{k+1}[V'] restriction).
     {
-        let _span = counters.phase("cross-solve");
-        base_extend(
-            g,
-            d.cross_view(),
-            &mut mate,
-            None,
-            arch,
-            seed ^ 3,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
-    }
-    let solve_time = sw.elapsed();
-
-    MatchingRun {
-        mate,
-        stats: RunStats::from_counters(decompose_time, solve_time, &counters)
-            .with_scratch(scratch.stats()),
+        let _span = run.counters.phase("cross-solve");
+        base_extend(run, d.cross_view(), mate, None, seed ^ 3);
     }
 }
 
@@ -175,55 +70,18 @@ pub(super) fn mm_rand(run: RunCtx<'_>, d: &RandDecomposition) -> MatchingRun {
 ///
 /// Match `G_H` first, then extend over `G_L ∪ G_C` restricted to unmatched
 /// vertices.
-pub(super) fn mm_degk(run: RunCtx<'_>, d: &DegkDecomposition) -> MatchingRun {
-    let RunCtx {
-        g,
-        arch,
-        seed,
-        opts,
-        counters,
-        decompose_time,
-    } = run;
-    let mut scratch = Scratch::new();
-    let sw = Stopwatch::start();
-    let mut mate = fresh_mate(g.num_vertices());
+pub(super) fn mm_degk(run: &mut RunCtx<'_>, d: &DegkDecomposition, mate: &mut [u32]) {
+    let seed = run.seed;
     // Phase 1: M_H on G_H.
     {
-        let _span = counters.phase("induced-solve");
-        base_extend(
-            g,
-            d.high_view(),
-            &mut mate,
-            None,
-            arch,
-            seed ^ 4,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
+        let _span = run.counters.phase("induced-solve");
+        base_extend(run, d.high_view(), mate, None, seed ^ 4);
     }
     // Phase 2: M_LC on G_LC = G_L ∪ G_C (every edge with a low endpoint —
     // the low-degree fringe).
     {
-        let _span = counters.phase("fringe-peel");
-        base_extend(
-            g,
-            d.low_cross_view(),
-            &mut mate,
-            None,
-            arch,
-            seed ^ 5,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
-    }
-    let solve_time = sw.elapsed();
-
-    MatchingRun {
-        mate,
-        stats: RunStats::from_counters(decompose_time, solve_time, &counters)
-            .with_scratch(scratch.stats()),
+        let _span = run.counters.phase("fringe-peel");
+        base_extend(run, d.low_cross_view(), mate, None, seed ^ 5);
     }
 }
 
@@ -233,55 +91,18 @@ pub(super) fn mm_degk(run: RunCtx<'_>, d: &DegkDecomposition) -> MatchingRun {
 /// of its blocks, which are pairwise disconnected — a maximal matching of
 /// that remainder is found in one parallel solve, then extended over the
 /// articulation vertices and their edges.
-pub(super) fn mm_bicc(run: RunCtx<'_>, d: &BiccDecomposition) -> MatchingRun {
-    let RunCtx {
-        g,
-        arch,
-        seed,
-        opts,
-        counters,
-        decompose_time,
-    } = run;
-    let mut scratch = Scratch::new();
-    let sw = Stopwatch::start();
-    let mut mate = fresh_mate(g.num_vertices());
+pub(super) fn mm_bicc(run: &mut RunCtx<'_>, d: &BiccDecomposition, mate: &mut [u32]) {
+    let seed = run.seed;
     // Phase 1: block interiors (non-articulation vertices).
     {
-        let _span = counters.phase("induced-solve");
+        let _span = run.counters.phase("induced-solve");
         let interior: Vec<bool> = d.is_articulation.iter().map(|&a| !a).collect();
-        base_extend(
-            g,
-            EdgeView::full(),
-            &mut mate,
-            Some(&interior),
-            arch,
-            seed,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
+        base_extend(run, EdgeView::full(), mate, Some(&interior), seed);
     }
     // Phase 2: extend over the articulation vertices.
     {
-        let _span = counters.phase("cleanup");
-        base_extend(
-            g,
-            EdgeView::full(),
-            &mut mate,
-            None,
-            arch,
-            seed ^ 1,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
-    }
-    let solve_time = sw.elapsed();
-
-    MatchingRun {
-        mate,
-        stats: RunStats::from_counters(decompose_time, solve_time, &counters)
-            .with_scratch(scratch.stats()),
+        let _span = run.counters.phase("cleanup");
+        base_extend(run, EdgeView::full(), mate, None, seed ^ 1);
     }
 }
 

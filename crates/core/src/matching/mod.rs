@@ -21,7 +21,7 @@ use sb_graph::csr::{Graph, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::bsp::BspExecutor;
 use sb_par::counters::Counters;
-use sb_par::frontier::Scratch;
+use std::time::Duration;
 
 /// Result of a matching run: the mate array plus timing/work breakdown.
 #[derive(Debug, Clone)]
@@ -60,22 +60,24 @@ pub fn maximal_matching(
 ) -> MatchingRun {
     use Decomposition as D;
     let counters = opts.counters();
-    let (inline, decompose_time) = solver::decompose_inline(g, algo, decomp, seed, &counters);
-    let run = RunCtx {
-        g,
-        arch,
-        seed,
-        opts,
-        counters,
-        decompose_time,
+    let (inline, decompose_time) = match decomp {
+        Some(_) => (None, Duration::ZERO),
+        None => Decomposition::compute(g, algo, seed, &counters),
     };
+    let mut run = RunCtx::new(g, arch, seed, opts.frontier, &counters, decompose_time);
+    let mut mate = fresh_mate(g.num_vertices());
+    let m = &mut mate;
     match (algo, decomp.or(inline.as_ref())) {
-        (Algo::Baseline, None) => decomp::baseline(run),
-        (Algo::Bridge, Some(D::Bridge(d))) => decomp::mm_bridge(run, d),
-        (Algo::Rand { .. }, Some(D::Rand(d))) => decomp::mm_rand(run, d),
-        (Algo::Degk { .. }, Some(D::Degk(d))) => decomp::mm_degk(run, d),
-        (Algo::Bicc, Some(D::Bicc(d))) => decomp::mm_bicc(run, d),
+        (Algo::Baseline, None) => decomp::baseline(&mut run, m),
+        (Algo::Bridge, Some(D::Bridge(d))) => decomp::mm_bridge(&mut run, d, m),
+        (Algo::Rand { .. }, Some(D::Rand(d))) => decomp::mm_rand(&mut run, d, m),
+        (Algo::Degk { .. }, Some(D::Degk(d))) => decomp::mm_degk(&mut run, d, m),
+        (Algo::Bicc, Some(D::Bicc(d))) => decomp::mm_bicc(&mut run, d, m),
         (algo, d) => solver::mismatch(algo, d),
+    }
+    MatchingRun {
+        mate,
+        stats: run.finish(),
     }
 }
 
@@ -96,19 +98,15 @@ pub fn maximal_matching(
 /// carries the new-id → original-id map of the materialization — so dense
 /// and compact are byte-identical on masked views too (pinned by
 /// `tests/frontier.rs`).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn base_extend(
-    g: &Graph,
+    run: &mut RunCtx<'_>,
     view: EdgeView<'_>,
     mate: &mut [u32],
     allowed: Option<&[bool]>,
-    arch: Arch,
     seed: u64,
-    counters: &Counters,
-    mode: FrontierMode,
-    scratch: &mut Scratch,
 ) {
-    match (arch, mode) {
+    let (g, counters, scratch) = (run.g, run.counters, &mut run.scratch);
+    match (run.arch, run.mode) {
         (Arch::Cpu, FrontierMode::Dense) => gm::gm_extend(g, view, mate, allowed, counters),
         (Arch::Cpu, FrontierMode::Compact) => {
             gm::gm_extend_frontier(g, view, mate, allowed, counters, scratch)

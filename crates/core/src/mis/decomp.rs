@@ -6,8 +6,7 @@ use super::luby::{
 };
 use super::oriented::oriented_mis_extend;
 use super::status::{IN, OUT, UNDECIDED};
-use super::MisRun;
-use crate::common::{Arch, FrontierMode, RunCtx, RunStats};
+use crate::common::{Arch, FrontierMode, RunCtx};
 use crate::matching::materialize_for_gpu;
 use rayon::prelude::*;
 use sb_decompose::bicc::BiccDecomposition;
@@ -18,8 +17,7 @@ use sb_graph::csr::{Graph, VertexId};
 use sb_graph::view::EdgeView;
 use sb_par::atomic::as_atomic_u8;
 use sb_par::bsp::BspExecutor;
-use sb_par::counters::{Counters, Stopwatch};
-use sb_par::frontier::Scratch;
+use sb_par::counters::Counters;
 use std::sync::atomic::Ordering;
 
 /// Run the architecture's Luby form over the undecided vertices of `g`
@@ -30,19 +28,15 @@ use std::sync::atomic::Ordering;
 /// architectures solve against the view zero-copy: Luby's decisions depend
 /// only on vertex ids and the admitted edge set, so skipping the induced
 /// CSR build cannot change the output.
-#[allow(clippy::too_many_arguments)]
 fn base_mis_extend(
-    g: &Graph,
+    run: &mut RunCtx<'_>,
     view: EdgeView<'_>,
     status: &mut [u8],
     allowed: Option<&[bool]>,
-    arch: Arch,
     seed: u64,
-    counters: &Counters,
-    mode: FrontierMode,
-    scratch: &mut Scratch,
 ) {
-    match (arch, mode) {
+    let (g, counters, scratch) = (run.g, run.counters, &mut run.scratch);
+    match (run.arch, run.mode) {
         (Arch::Cpu, FrontierMode::Dense) => luby_extend(g, view, status, allowed, seed, counters),
         (Arch::Cpu, FrontierMode::Compact) => {
             luby_extend_frontier(g, view, status, allowed, seed, counters, scratch)
@@ -92,49 +86,10 @@ fn exclude_dominated(g: &Graph, status: &mut [u8], counters: &Counters) {
     });
 }
 
-fn finish(
-    status: Vec<u8>,
-    decompose_time: std::time::Duration,
-    sw: Stopwatch,
-    counters: Counters,
-    scratch: &Scratch,
-) -> MisRun {
-    let solve_time = sw.elapsed();
-    MisRun {
-        in_set: status.iter().map(|&s| s == IN).collect(),
-        stats: RunStats::from_counters(decompose_time, solve_time, &counters)
-            .with_scratch(scratch.stats()),
-    }
-}
-
 /// LubyMIS on the whole graph — the Figure 5 baseline.
-pub(super) fn baseline(run: RunCtx<'_>) -> MisRun {
-    let RunCtx {
-        g,
-        arch,
-        seed,
-        opts,
-        counters,
-        decompose_time,
-    } = run;
-    let mut scratch = Scratch::new();
-    let mut status = vec![UNDECIDED; g.num_vertices()];
-    let sw = Stopwatch::start();
-    {
-        let _span = counters.phase("solve");
-        base_mis_extend(
-            g,
-            EdgeView::full(),
-            &mut status,
-            None,
-            arch,
-            seed,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
-    }
-    finish(status, decompose_time, sw, counters, &scratch)
+pub(super) fn baseline(run: &mut RunCtx<'_>, status: &mut [u8]) {
+    let _span = run.counters.phase("solve");
+    base_mis_extend(run, EdgeView::full(), status, None, run.seed);
 }
 
 /// Average degree over the non-isolated vertices of a view — the sparsity
@@ -155,54 +110,24 @@ fn busy_avg_degree(g: &Graph, view: EdgeView<'_>) -> f64 {
 ///
 /// Solve `∪ H_i = G_c` minus bridge endpoints and the bridge graph `G_B`,
 /// sparser side first, extending through the full graph in between.
-pub(super) fn mis_bridge(run: RunCtx<'_>, d: &BridgeDecomposition) -> MisRun {
-    let RunCtx {
-        g,
-        arch,
-        seed,
-        opts,
-        counters,
-        decompose_time,
-    } = run;
-    let mut scratch = Scratch::new();
-    let sw = Stopwatch::start();
+pub(super) fn mis_bridge(run: &mut RunCtx<'_>, d: &BridgeDecomposition, status: &mut [u8]) {
+    let (g, seed) = (run.g, run.seed);
     let n = g.num_vertices();
     let mut is_bridge_vertex = vec![false; n];
     for v in d.bridge_vertices(g) {
         is_bridge_vertex[v as usize] = true;
     }
-    let mut status = vec![UNDECIDED; n];
 
     let comp_side: Vec<bool> = (0..n).map(|v| !is_bridge_vertex[v]).collect();
     if busy_avg_degree(g, d.component_view()) <= busy_avg_degree(g, d.bridge_view()) {
         // I_A on ∪ H_i first.
         {
-            let _span = counters.phase("induced-solve");
-            base_mis_extend(
-                g,
-                d.component_view(),
-                &mut status,
-                Some(&comp_side),
-                arch,
-                seed,
-                &counters,
-                opts.frontier,
-                &mut scratch,
-            );
+            let _span = run.counters.phase("induced-solve");
+            base_mis_extend(run, d.component_view(), status, Some(&comp_side), seed);
         }
-        let _span = counters.phase("cross-solve");
-        exclude_dominated(g, &mut status, &counters);
-        base_mis_extend(
-            g,
-            EdgeView::full(),
-            &mut status,
-            None,
-            arch,
-            seed ^ 1,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
+        let _span = run.counters.phase("cross-solve");
+        exclude_dominated(g, status, run.counters);
+        base_mis_extend(run, EdgeView::full(), status, None, seed ^ 1);
     } else {
         // I_B first. Note: an MIS of the bare bridge graph G_B would not be
         // independent in G (two bridge endpoints can share a non-bridge
@@ -210,51 +135,21 @@ pub(super) fn mis_bridge(run: RunCtx<'_>, d: &BridgeDecomposition) -> MisRun {
         // the subgraph Algorithm 10's "MIS of G_B" must mean for I_A ∪ I_B
         // to be an MIS of G.
         {
-            let _span = counters.phase("induced-solve");
-            base_mis_extend(
-                g,
-                EdgeView::full(),
-                &mut status,
-                Some(&is_bridge_vertex),
-                arch,
-                seed,
-                &counters,
-                opts.frontier,
-                &mut scratch,
-            );
+            let _span = run.counters.phase("induced-solve");
+            base_mis_extend(run, EdgeView::full(), status, Some(&is_bridge_vertex), seed);
         }
-        let _span = counters.phase("cross-solve");
-        exclude_dominated(g, &mut status, &counters);
-        base_mis_extend(
-            g,
-            EdgeView::full(),
-            &mut status,
-            None,
-            arch,
-            seed ^ 1,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
+        let _span = run.counters.phase("cross-solve");
+        exclude_dominated(g, status, run.counters);
+        base_mis_extend(run, EdgeView::full(), status, None, seed ^ 1);
     }
-    finish(status, decompose_time, sw, counters, &scratch)
 }
 
 /// Algorithm 11 — MIS-Rand.
 ///
 /// Solve `H = ∪ (G_i \ G_{k+1})` (induced subgraphs minus cross-edge
 /// endpoints) and the cross graph, sparser side first.
-pub(super) fn mis_rand(run: RunCtx<'_>, d: &RandDecomposition) -> MisRun {
-    let RunCtx {
-        g,
-        arch,
-        seed,
-        opts,
-        counters,
-        decompose_time,
-    } = run;
-    let mut scratch = Scratch::new();
-    let sw = Stopwatch::start();
+pub(super) fn mis_rand(run: &mut RunCtx<'_>, d: &RandDecomposition, status: &mut [u8]) {
+    let (g, seed) = (run.g, run.seed);
     let n = g.num_vertices();
     let cross_endpoint: Vec<bool> = {
         let mut m = vec![false; n];
@@ -267,68 +162,32 @@ pub(super) fn mis_rand(run: RunCtx<'_>, d: &RandDecomposition) -> MisRun {
         m
     };
     let h_side: Vec<bool> = (0..n).map(|v| !cross_endpoint[v]).collect();
-    let mut status = vec![UNDECIDED; n];
 
     if busy_avg_degree(g, d.induced_view()) <= busy_avg_degree(g, d.cross_view()) {
         {
-            let _span = counters.phase("induced-solve");
-            base_mis_extend(
-                g,
-                d.induced_view(),
-                &mut status,
-                Some(&h_side),
-                arch,
-                seed ^ 2,
-                &counters,
-                opts.frontier,
-                &mut scratch,
-            );
+            let _span = run.counters.phase("induced-solve");
+            base_mis_extend(run, d.induced_view(), status, Some(&h_side), seed ^ 2);
         }
-        let _span = counters.phase("cross-solve");
-        exclude_dominated(g, &mut status, &counters);
-        base_mis_extend(
-            g,
-            EdgeView::full(),
-            &mut status,
-            None,
-            arch,
-            seed ^ 3,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
+        let _span = run.counters.phase("cross-solve");
+        exclude_dominated(g, status, run.counters);
+        base_mis_extend(run, EdgeView::full(), status, None, seed ^ 3);
     } else {
         // Same subtlety as MIS-Bridge: cross-edge endpoints can also share
         // intra-partition edges, so I_B runs on G restricted to them.
         {
-            let _span = counters.phase("induced-solve");
+            let _span = run.counters.phase("induced-solve");
             base_mis_extend(
-                g,
+                run,
                 EdgeView::full(),
-                &mut status,
+                status,
                 Some(&cross_endpoint),
-                arch,
                 seed ^ 2,
-                &counters,
-                opts.frontier,
-                &mut scratch,
             );
         }
-        let _span = counters.phase("cross-solve");
-        exclude_dominated(g, &mut status, &counters);
-        base_mis_extend(
-            g,
-            EdgeView::full(),
-            &mut status,
-            None,
-            arch,
-            seed ^ 3,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
+        let _span = run.counters.phase("cross-solve");
+        exclude_dominated(g, status, run.counters);
+        base_mis_extend(run, EdgeView::full(), status, None, seed ^ 3);
     }
-    finish(status, decompose_time, sw, counters, &scratch)
 }
 
 /// Algorithm 12 — MIS-Degk (the paper's MIS-Deg2 for k = 2).
@@ -336,65 +195,28 @@ pub(super) fn mis_rand(run: RunCtx<'_>, d: &RandDecomposition) -> MisRun {
 /// Solve the degree-≤k side first — with the deterministic oriented
 /// algorithm when k ≤ 2 (paths and cycles), otherwise with Luby — then
 /// extend through the remainder.
-pub(super) fn mis_degk(run: RunCtx<'_>, d: &DegkDecomposition) -> MisRun {
-    let RunCtx {
-        g,
-        arch,
-        seed,
-        opts,
-        counters,
-        decompose_time,
-    } = run;
+pub(super) fn mis_degk(run: &mut RunCtx<'_>, d: &DegkDecomposition, status: &mut [u8]) {
+    let (g, seed) = (run.g, run.seed);
     let k = d.k;
-    let mut scratch = Scratch::new();
-    let sw = Stopwatch::start();
     let n = g.num_vertices();
     let low_side: Vec<bool> = (0..n).map(|v| !d.is_high[v]).collect();
-    let mut status = vec![UNDECIDED; n];
 
     // The degree-≤k fringe is peeled first (oriented Cole–Vishkin for
     // k ≤ 2, Luby otherwise).
     {
-        let _span = counters.phase("fringe-peel");
+        let _span = run.counters.phase("fringe-peel");
         if k <= 2 {
-            oriented_mis_extend(
-                g,
-                d.low_view(),
-                &mut status,
-                Some(&low_side),
-                &counters,
-                opts.frontier,
-            );
+            let view = d.low_view();
+            oriented_mis_extend(g, view, status, Some(&low_side), run.counters, run.mode);
         } else {
-            base_mis_extend(
-                g,
-                d.low_view(),
-                &mut status,
-                Some(&low_side),
-                arch,
-                seed ^ 4,
-                &counters,
-                opts.frontier,
-                &mut scratch,
-            );
+            base_mis_extend(run, d.low_view(), status, Some(&low_side), seed ^ 4);
         }
     }
     {
-        let _span = counters.phase("cross-solve");
-        exclude_dominated(g, &mut status, &counters);
-        base_mis_extend(
-            g,
-            EdgeView::full(),
-            &mut status,
-            None,
-            arch,
-            seed ^ 5,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
+        let _span = run.counters.phase("cross-solve");
+        exclude_dominated(g, status, run.counters);
+        base_mis_extend(run, EdgeView::full(), status, None, seed ^ 5);
     }
-    finish(status, decompose_time, sw, counters, &scratch)
 }
 
 /// MIS-Bicc (extension, after Hochbaum \[16\]).
@@ -402,50 +224,18 @@ pub(super) fn mis_degk(run: RunCtx<'_>, d: &DegkDecomposition) -> MisRun {
 /// An MIS of the block interiors (the graph minus articulation vertices,
 /// whose pieces are pairwise disconnected), then exclusion through the
 /// full graph and a final solve over what remains.
-pub(super) fn mis_bicc(run: RunCtx<'_>, d: &BiccDecomposition) -> MisRun {
-    let RunCtx {
-        g,
-        arch,
-        seed,
-        opts,
-        counters,
-        decompose_time,
-    } = run;
-    let mut scratch = Scratch::new();
-    let sw = Stopwatch::start();
-    let n = g.num_vertices();
+pub(super) fn mis_bicc(run: &mut RunCtx<'_>, d: &BiccDecomposition, status: &mut [u8]) {
+    let (g, seed) = (run.g, run.seed);
     let interior: Vec<bool> = d.is_articulation.iter().map(|&a| !a).collect();
-    let mut status = vec![UNDECIDED; n];
     {
-        let _span = counters.phase("induced-solve");
-        base_mis_extend(
-            g,
-            EdgeView::full(),
-            &mut status,
-            Some(&interior),
-            arch,
-            seed,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
+        let _span = run.counters.phase("induced-solve");
+        base_mis_extend(run, EdgeView::full(), status, Some(&interior), seed);
     }
     {
-        let _span = counters.phase("cleanup");
-        exclude_dominated(g, &mut status, &counters);
-        base_mis_extend(
-            g,
-            EdgeView::full(),
-            &mut status,
-            None,
-            arch,
-            seed ^ 1,
-            &counters,
-            opts.frontier,
-            &mut scratch,
-        );
+        let _span = run.counters.phase("cleanup");
+        exclude_dominated(g, status, run.counters);
+        base_mis_extend(run, EdgeView::full(), status, None, seed ^ 1);
     }
-    finish(status, decompose_time, sw, counters, &scratch)
 }
 
 #[cfg(test)]

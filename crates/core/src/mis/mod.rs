@@ -22,6 +22,7 @@ pub mod oriented;
 use crate::common::{Arch, RunCtx, RunStats, SolveOpts};
 use crate::solver::{self, Algo, Decomposition};
 use sb_graph::csr::Graph;
+use std::time::Duration;
 
 /// Shared live-set scan for the MIS solvers: the undecided vertices passing
 /// `allowed`, as an order-stable compacted worklist. Every solver in this
@@ -78,21 +79,24 @@ pub fn maximal_independent_set(
 ) -> MisRun {
     use Decomposition as D;
     let counters = opts.counters();
-    let (inline, decompose_time) = solver::decompose_inline(g, algo, decomp, seed, &counters);
-    let run = RunCtx {
-        g,
-        arch,
-        seed,
-        opts,
-        counters,
-        decompose_time,
+    let (inline, decompose_time) = match decomp {
+        Some(_) => (None, Duration::ZERO),
+        None => Decomposition::compute(g, algo, seed, &counters),
     };
+    let mut run = RunCtx::new(g, arch, seed, opts.frontier, &counters, decompose_time);
+    let mut status = vec![status::UNDECIDED; g.num_vertices()];
+    let st = &mut status;
     match (algo, decomp.or(inline.as_ref())) {
-        (Algo::Baseline, None) => decomp::baseline(run),
-        (Algo::Bridge, Some(D::Bridge(d))) => decomp::mis_bridge(run, d),
-        (Algo::Rand { .. }, Some(D::Rand(d))) => decomp::mis_rand(run, d),
-        (Algo::Degk { .. }, Some(D::Degk(d))) => decomp::mis_degk(run, d),
-        (Algo::Bicc, Some(D::Bicc(d))) => decomp::mis_bicc(run, d),
+        (Algo::Baseline, None) => decomp::baseline(&mut run, st),
+        (Algo::Bridge, Some(D::Bridge(d))) => decomp::mis_bridge(&mut run, d, st),
+        (Algo::Rand { .. }, Some(D::Rand(d))) => decomp::mis_rand(&mut run, d, st),
+        (Algo::Degk { .. }, Some(D::Degk(d))) => decomp::mis_degk(&mut run, d, st),
+        (Algo::Bicc, Some(D::Bicc(d))) => decomp::mis_bicc(&mut run, d, st),
         (algo, d) => solver::mismatch(algo, d),
+    }
+    let stats = run.finish();
+    MisRun {
+        in_set: status.iter().map(|&s| s == status::IN).collect(),
+        stats,
     }
 }

@@ -233,22 +233,32 @@ pub enum Decomposition {
 
 impl Decomposition {
     /// Decompose `g` as `algo` needs, charging the work (and a `decompose`
-    /// phase span) to `counters`. `None` for the baseline, which needs no
-    /// decomposition. RAND draws its partition from `seed`.
-    pub fn compute(g: &Graph, algo: Algo, seed: u64, counters: &Counters) -> Option<Decomposition> {
+    /// phase span) to `counters`; returns the decomposition and the time it
+    /// took. The baseline needs none: `(None, 0)`, and no span. RAND draws
+    /// its partition from `seed`.
+    pub fn compute(
+        g: &Graph,
+        algo: Algo,
+        seed: u64,
+        counters: &Counters,
+    ) -> (Option<Decomposition>, Duration) {
         if algo == Algo::Baseline {
-            return None;
+            return (None, Duration::ZERO);
         }
-        let _span = counters.phase("decompose");
-        Some(match algo {
-            Algo::Baseline => unreachable!(),
-            Algo::Bridge => Decomposition::Bridge(decompose_bridge(g, counters)),
-            Algo::Rand { partitions } => {
-                Decomposition::Rand(decompose_rand(g, partitions, seed, counters))
+        let sw = Stopwatch::start();
+        let d = {
+            let _span = counters.phase("decompose");
+            match algo {
+                Algo::Baseline => unreachable!(),
+                Algo::Bridge => Decomposition::Bridge(decompose_bridge(g, counters)),
+                Algo::Rand { partitions } => {
+                    Decomposition::Rand(decompose_rand(g, partitions, seed, counters))
+                }
+                Algo::Degk { k } => Decomposition::Degk(decompose_degk(g, k, counters)),
+                Algo::Bicc => Decomposition::Bicc(decompose_bicc(g, counters)),
             }
-            Algo::Degk { k } => Decomposition::Degk(decompose_degk(g, k, counters)),
-            Algo::Bicc => Decomposition::Bicc(decompose_bicc(g, counters)),
-        })
+        };
+        (Some(d), sw.elapsed())
     }
 
     /// Estimated resident size for cache weighting. The per-edge class
@@ -271,24 +281,6 @@ impl Decomposition {
             Decomposition::Bicc(_) => "BICC",
         }
     }
-}
-
-/// The decomposition a family entry point runs over when the caller gave
-/// none: computed here under the run's counters, with the time it took.
-/// A supplied decomposition or a baseline yields `None` and zero time.
-pub(crate) fn decompose_inline(
-    g: &Graph,
-    algo: Algo,
-    given: Option<&Decomposition>,
-    seed: u64,
-    counters: &Counters,
-) -> (Option<Decomposition>, Duration) {
-    if given.is_some() || algo == Algo::Baseline {
-        return (None, Duration::ZERO);
-    }
-    let sw = Stopwatch::start();
-    let d = Decomposition::compute(g, algo, seed, counters);
-    (d, sw.elapsed())
 }
 
 /// The panic for an `(algo, decomposition)` pair that does not match.
@@ -497,7 +489,7 @@ mod tests {
     #[should_panic(expected = "algo rand:3 paired with BRIDGE")]
     fn a_mismatched_decomposition_panics_naming_both() {
         let g = from_edge_list(3, &[(0, 1), (1, 2)]);
-        let d = Decomposition::compute(&g, Algo::Bridge, 0, &Counters::new());
+        let (d, _) = Decomposition::compute(&g, Algo::Bridge, 0, &Counters::new());
         let algo = Algo::Rand { partitions: 3 };
         let opts = SolveOpts::default();
         maximal_matching(&g, algo, d.as_ref(), Arch::Cpu, 0, &opts);

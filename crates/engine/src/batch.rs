@@ -262,13 +262,12 @@ pub(crate) fn spawn_worker(
                 let algo = job.solver.algo;
                 let (decomp, computed_decomp, decompose_time) = match cached_decomp {
                     Some(d) => (Some(d), false, Duration::ZERO),
-                    None if algo == Algo::Baseline => (None, false, Duration::ZERO),
                     None => {
                         // Counted apart from the solve, as on the
                         // engine's synchronous path.
-                        let sw = Stopwatch::start();
-                        let d = Decomposition::compute(&graph, algo, job.seed, &opts.counters());
-                        (d.map(Arc::new), true, sw.elapsed())
+                        let (d, dt) =
+                            Decomposition::compute(&graph, algo, job.seed, &opts.counters());
+                        (d.map(Arc::new), algo != Algo::Baseline, dt)
                     }
                 };
                 let (solution, mut stats) = solver::solve(

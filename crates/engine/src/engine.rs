@@ -10,7 +10,7 @@ use sb_decompose::degk::DegkDecomposition;
 use sb_decompose::rand_part::RandDecomposition;
 use sb_graph::csr::Graph;
 use sb_graph::editlog::{EditLog, Overlay};
-use sb_par::counters::{Counters, Stopwatch};
+use sb_par::counters::Counters;
 use sb_par::rng::{bounded, hash2};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -306,12 +306,11 @@ impl Engine {
             None => {
                 // Counted apart from the solve (into the same trace sink),
                 // so the run's stats cover the solve phases only.
-                let sw = Stopwatch::start();
-                let d = Decomposition::compute(g, solver.algo, seed, &opts.counters());
+                let (d, dt) = Decomposition::compute(g, solver.algo, seed, &opts.counters());
                 let d = Arc::new(d.expect("a decomposing algorithm"));
                 let bytes = d.approx_bytes();
                 self.decomps.insert_weighted(key, d.clone(), bytes);
-                (d, false, sw.elapsed())
+                (d, false, dt)
             }
         };
         let (solution, mut stats) = solver::solve(g, solver, Some(&d), arch, seed, opts);
@@ -544,8 +543,8 @@ fn patch_decomposition(
             })
         }
         Decomposition::Bridge(_) | Decomposition::Bicc(_) => {
-            Decomposition::compute(edited, algo, seed, &Counters::new())
-                .expect("BRIDGE and BICC decompose")
+            let (d, _) = Decomposition::compute(edited, algo, seed, &Counters::new());
+            d.expect("BRIDGE and BICC decompose")
         }
     }
 }

@@ -492,7 +492,7 @@ fn cmd_decompose(f: &Flags) -> Result<(), String> {
         )
     } else {
         let algo = Algo::parse(method, Problem::Mm)?;
-        match Decomposition::compute(&g, algo, f.seed, &c) {
+        match Decomposition::compute(&g, algo, f.seed, &c).0 {
             Some(Decomposition::Bridge(d)) => format!(
                 "BRIDGE: {} bridges ({:.1}%), {} two-edge-connected components",
                 d.bridges.len(),
