@@ -18,6 +18,7 @@ use sb_core::solver::Algo;
 use sb_core::verify::{check_coloring, check_maximal_independent_set, check_maximal_matching};
 
 fn main() {
+    let opts = SolveOpts::default();
     let cfg = BenchConfig::from_env();
     let suite = load_suite(&cfg);
     let arch = cfg.arch;
@@ -26,21 +27,21 @@ fn main() {
     for (sp, g) in &suite.graphs {
         let mm = |algo| {
             let (ms, run) = time_min(cfg.reps, || {
-                maximal_matching(g, algo, None, arch, cfg.seed, &SolveOpts::default())
+                maximal_matching(g, algo, None, arch, cfg.seed, &opts)
             });
             check_maximal_matching(g, &run.mate).unwrap();
             ms
         };
         let col = |algo| {
             let (ms, run) = time_min(cfg.reps, || {
-                vertex_coloring(g, algo, None, arch, cfg.seed, &SolveOpts::default())
+                vertex_coloring(g, algo, None, arch, cfg.seed, &opts)
             });
             check_coloring(g, &run.color).unwrap();
             ms
         };
         let mis = |algo| {
             let (ms, run) = time_min(cfg.reps, || {
-                maximal_independent_set(g, algo, None, arch, cfg.seed, &SolveOpts::default())
+                maximal_independent_set(g, algo, None, arch, cfg.seed, &opts)
             });
             check_maximal_independent_set(g, &run.in_set).unwrap();
             ms

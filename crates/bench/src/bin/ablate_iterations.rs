@@ -16,6 +16,7 @@ use sb_graph::csr::INVALID;
 use sb_par::counters::Counters;
 
 fn main() {
+    let opts = SolveOpts::default();
     let mut cfg = BenchConfig::from_env();
     if cfg.filter.is_empty() {
         cfg.filter = "rgg".into();
@@ -24,14 +25,7 @@ fn main() {
     let schema = schemas::ablate_iterations();
     let mut t = schema.table();
     for (sp, g) in &suite.graphs {
-        let base = maximal_matching(
-            g,
-            Algo::Baseline,
-            None,
-            Arch::Cpu,
-            cfg.seed,
-            &SolveOpts::default(),
-        );
+        let base = maximal_matching(g, Algo::Baseline, None, Arch::Cpu, cfg.seed, &opts);
         check_maximal_matching(g, &base.mate).unwrap();
         let k = mm_rand_partitions(Arch::Cpu, sp);
         let rand = maximal_matching(
@@ -40,7 +34,7 @@ fn main() {
             None,
             Arch::Cpu,
             cfg.seed,
-            &SolveOpts::default(),
+            &opts,
         );
         check_maximal_matching(g, &rand.mate).unwrap();
 

@@ -14,6 +14,7 @@ use sb_core::verify::{check_coloring, check_maximal_matching};
 const KS: [usize; 6] = [2, 4, 10, 20, 50, 100];
 
 fn main() {
+    let opts = SolveOpts::default();
     let cfg = BenchConfig::from_env();
     let suite = load_suite(&cfg);
     let arch = cfg.arch;
@@ -27,26 +28,12 @@ fn main() {
         let mut col_row = vec![sp.name.to_string()];
         for k in KS {
             let (ms, run) = time_min(cfg.reps, || {
-                maximal_matching(
-                    g,
-                    Algo::Rand { partitions: k },
-                    None,
-                    arch,
-                    cfg.seed,
-                    &SolveOpts::default(),
-                )
+                maximal_matching(g, Algo::Rand { partitions: k }, None, arch, cfg.seed, &opts)
             });
             check_maximal_matching(g, &run.mate).unwrap();
             mm_row.push(fmt_ms(ms));
             let (ms, run) = time_min(cfg.reps, || {
-                vertex_coloring(
-                    g,
-                    Algo::Rand { partitions: k },
-                    None,
-                    arch,
-                    cfg.seed,
-                    &SolveOpts::default(),
-                )
+                vertex_coloring(g, Algo::Rand { partitions: k }, None, arch, cfg.seed, &opts)
             });
             check_coloring(g, &run.color).unwrap();
             col_row.push(fmt_ms(ms));

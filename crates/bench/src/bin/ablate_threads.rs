@@ -54,6 +54,7 @@ fn skewed_spin(items: usize) -> u64 {
 }
 
 fn main() {
+    let opts = SolveOpts::default();
     let mut cfg = BenchConfig::from_env();
     if cfg.filter.is_empty() {
         cfg.filter = "webbase".into(); // one representative graph by default
@@ -70,14 +71,7 @@ fn main() {
             (
                 format!("{} / GM", sp.name),
                 Box::new(|| {
-                    let r = maximal_matching(
-                        g,
-                        Algo::Baseline,
-                        None,
-                        Arch::Cpu,
-                        cfg.seed,
-                        &SolveOpts::default(),
-                    );
+                    let r = maximal_matching(g, Algo::Baseline, None, Arch::Cpu, cfg.seed, &opts);
                     check_maximal_matching(g, &r.mate).unwrap();
                 }),
             ),
@@ -90,7 +84,7 @@ fn main() {
                         None,
                         Arch::Cpu,
                         cfg.seed,
-                        &SolveOpts::default(),
+                        &opts,
                     );
                     check_maximal_matching(g, &r.mate).unwrap();
                 }),
@@ -104,7 +98,7 @@ fn main() {
                         None,
                         Arch::Cpu,
                         cfg.seed,
-                        &SolveOpts::default(),
+                        &opts,
                     );
                     check_maximal_independent_set(g, &r.in_set).unwrap();
                 }),
@@ -118,7 +112,7 @@ fn main() {
                         None,
                         Arch::Cpu,
                         cfg.seed,
-                        &SolveOpts::default(),
+                        &opts,
                     );
                     check_maximal_independent_set(g, &r.in_set).unwrap();
                 }),

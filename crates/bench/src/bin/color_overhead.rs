@@ -13,6 +13,7 @@ use sb_core::solver::Algo;
 use sb_core::verify::{check_coloring, color_count};
 
 fn main() {
+    let opts = SolveOpts::default();
     let cfg = BenchConfig::from_env();
     let suite = load_suite(&cfg);
     let schema = schemas::color_overhead();
@@ -21,14 +22,7 @@ fn main() {
         let mut over = [Vec::new(), Vec::new(), Vec::new()];
         let mut delta = [Vec::new(), Vec::new(), Vec::new()];
         for (_, g) in &suite.graphs {
-            let base = vertex_coloring(
-                g,
-                Algo::Baseline,
-                None,
-                arch,
-                cfg.seed,
-                &SolveOpts::default(),
-            );
+            let base = vertex_coloring(g, Algo::Baseline, None, arch, cfg.seed, &opts);
             check_coloring(g, &base.color).unwrap();
             let base_colors = color_count(&base.color) as f64;
             let algos = [
@@ -39,7 +33,7 @@ fn main() {
                 Algo::Degk { k: 2 },
             ];
             for (i, algo) in algos.into_iter().enumerate() {
-                let run = vertex_coloring(g, algo, None, arch, cfg.seed, &SolveOpts::default());
+                let run = vertex_coloring(g, algo, None, arch, cfg.seed, &opts);
                 check_coloring(g, &run.color).unwrap();
                 let c = color_count(&run.color) as f64;
                 over[i].push(100.0 * (c / base_colors - 1.0));

@@ -36,6 +36,7 @@ fn row(label: &str, s: CounterSnapshot, t: &mut Table) {
 }
 
 fn main() {
+    let opts = SolveOpts::default();
     let mut cfg = BenchConfig::from_env();
     if cfg.filter.is_empty() {
         cfg.filter = "kron-g500-logn20".into();
@@ -53,16 +54,9 @@ fn main() {
         let arch = Arch::GpuSim;
         row(
             "LMAX (baseline)",
-            maximal_matching(
-                g,
-                Algo::Baseline,
-                None,
-                arch,
-                cfg.seed,
-                &SolveOpts::default(),
-            )
-            .stats
-            .counters,
+            maximal_matching(g, Algo::Baseline, None, arch, cfg.seed, &opts)
+                .stats
+                .counters,
             &mut t,
         );
         row(
@@ -73,7 +67,7 @@ fn main() {
                 None,
                 arch,
                 cfg.seed,
-                &SolveOpts::default(),
+                &opts,
             )
             .stats
             .counters,
@@ -81,58 +75,30 @@ fn main() {
         );
         row(
             "EB (baseline)",
-            vertex_coloring(
-                g,
-                Algo::Baseline,
-                None,
-                arch,
-                cfg.seed,
-                &SolveOpts::default(),
-            )
-            .stats
-            .counters,
+            vertex_coloring(g, Algo::Baseline, None, arch, cfg.seed, &opts)
+                .stats
+                .counters,
             &mut t,
         );
         row(
             "COLOR-Deg2",
-            vertex_coloring(
-                g,
-                Algo::Degk { k: 2 },
-                None,
-                arch,
-                cfg.seed,
-                &SolveOpts::default(),
-            )
-            .stats
-            .counters,
+            vertex_coloring(g, Algo::Degk { k: 2 }, None, arch, cfg.seed, &opts)
+                .stats
+                .counters,
             &mut t,
         );
         row(
             "LubyMIS (baseline)",
-            maximal_independent_set(
-                g,
-                Algo::Baseline,
-                None,
-                arch,
-                cfg.seed,
-                &SolveOpts::default(),
-            )
-            .stats
-            .counters,
+            maximal_independent_set(g, Algo::Baseline, None, arch, cfg.seed, &opts)
+                .stats
+                .counters,
             &mut t,
         );
         row(
             "MIS-Deg2",
-            maximal_independent_set(
-                g,
-                Algo::Degk { k: 2 },
-                None,
-                arch,
-                cfg.seed,
-                &SolveOpts::default(),
-            )
-            .stats
-            .counters,
+            maximal_independent_set(g, Algo::Degk { k: 2 }, None, arch, cfg.seed, &opts)
+                .stats
+                .counters,
             &mut t,
         );
         t.emit(&schema.name);

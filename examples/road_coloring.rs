@@ -14,6 +14,7 @@ use std::time::Instant;
 use symmetry_breaking::prelude::*;
 
 fn main() {
+    let opts = SolveOpts::default();
     let g = generate(GraphId::GermanyOsm, Scale::Factor(0.5), 7);
     let stats = GraphStats::compute(&g);
     println!(
@@ -33,26 +34,12 @@ fn main() {
     );
 
     let t = Instant::now();
-    let base = vertex_coloring(
-        &g,
-        Algo::Baseline,
-        None,
-        Arch::Cpu,
-        1,
-        &SolveOpts::default(),
-    );
+    let base = vertex_coloring(&g, Algo::Baseline, None, Arch::Cpu, 1, &opts);
     let base_ms = t.elapsed().as_secs_f64() * 1e3;
     check_coloring(&g, &base.color).unwrap();
 
     let t = Instant::now();
-    let degk = vertex_coloring(
-        &g,
-        Algo::Degk { k: 2 },
-        None,
-        Arch::Cpu,
-        1,
-        &SolveOpts::default(),
-    );
+    let degk = vertex_coloring(&g, Algo::Degk { k: 2 }, None, Arch::Cpu, 1, &opts);
     let degk_ms = t.elapsed().as_secs_f64() * 1e3;
     check_coloring(&g, &degk.color).unwrap();
 

@@ -205,6 +205,7 @@ fn verifiers_catch_planted_violations_at_every_width() {
 /// instead of hanging the suite. Every iteration must be verifier-clean.
 #[test]
 fn stress_mm_rand_and_mis_degk_at_max_threads() {
+    let opts = SolveOpts::default();
     let iters: usize = std::env::var("SBREAK_STRESS_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -224,18 +225,12 @@ fn stress_mm_rand_and_mis_degk_at_max_threads() {
                     None,
                     Arch::Cpu,
                     seed,
-                    &SolveOpts::default(),
+                    &opts,
                 );
                 check_maximal_matching(&g, &r.mate)
                     .unwrap_or_else(|e| panic!("MM-Rand iter {i}: {e}"));
-                let m = maximal_independent_set(
-                    &g,
-                    Algo::Degk { k: 2 },
-                    None,
-                    Arch::Cpu,
-                    seed,
-                    &SolveOpts::default(),
-                );
+                let m =
+                    maximal_independent_set(&g, Algo::Degk { k: 2 }, None, Arch::Cpu, seed, &opts);
                 check_maximal_independent_set(&g, &m.in_set)
                     .unwrap_or_else(|e| panic!("MIS-Deg2 iter {i}: {e}"));
             }

@@ -49,62 +49,31 @@ fn rand_decomposition_is_seed_pure() {
 
 #[test]
 fn solvers_reproducible_per_seed() {
+    let opts = SolveOpts::default();
     let g = graph();
     for arch in [Arch::Cpu, Arch::GpuSim] {
-        let m1 = maximal_matching(
-            &g,
-            Algo::Rand { partitions: 5 },
-            None,
-            arch,
-            4,
-            &SolveOpts::default(),
-        )
-        .mate;
-        let m2 = maximal_matching(
-            &g,
-            Algo::Rand { partitions: 5 },
-            None,
-            arch,
-            4,
-            &SolveOpts::default(),
-        )
-        .mate;
+        let m1 = maximal_matching(&g, Algo::Rand { partitions: 5 }, None, arch, 4, &opts).mate;
+        let m2 = maximal_matching(&g, Algo::Rand { partitions: 5 }, None, arch, 4, &opts).mate;
         assert_eq!(m1, m2, "matching not reproducible on {arch}");
 
-        let i1 = maximal_independent_set(&g, Algo::Baseline, None, arch, 4, &SolveOpts::default())
-            .in_set;
-        let i2 = maximal_independent_set(&g, Algo::Baseline, None, arch, 4, &SolveOpts::default())
-            .in_set;
+        let i1 = maximal_independent_set(&g, Algo::Baseline, None, arch, 4, &opts).in_set;
+        let i2 = maximal_independent_set(&g, Algo::Baseline, None, arch, 4, &opts).in_set;
         assert_eq!(i1, i2, "MIS not reproducible on {arch}");
     }
 }
 
 #[test]
 fn different_seeds_differ() {
+    let opts = SolveOpts::default();
     let g = graph();
-    let i1 = maximal_independent_set(
-        &g,
-        Algo::Baseline,
-        None,
-        Arch::Cpu,
-        1,
-        &SolveOpts::default(),
-    )
-    .in_set;
-    let i2 = maximal_independent_set(
-        &g,
-        Algo::Baseline,
-        None,
-        Arch::Cpu,
-        2,
-        &SolveOpts::default(),
-    )
-    .in_set;
+    let i1 = maximal_independent_set(&g, Algo::Baseline, None, Arch::Cpu, 1, &opts).in_set;
+    let i2 = maximal_independent_set(&g, Algo::Baseline, None, Arch::Cpu, 2, &opts).in_set;
     assert_ne!(i1, i2, "seeds should perturb Luby's choices");
 }
 
 #[test]
 fn seed_deterministic_solvers_thread_invariant() {
+    let opts = SolveOpts::default();
     // Solvers documented as seed-deterministic: their per-round choices
     // come from seeded hashes or double-buffered local-extremum rules, so
     // any interleaving of a round commits the same decisions. VB coloring
@@ -121,20 +90,16 @@ fn seed_deterministic_solvers_thread_invariant() {
             Algo::Rand { partitions: 5 },
             Algo::Degk { k: 2 },
         ] {
-            let one = with_threads(1, || {
-                maximal_matching(&g, algo, None, arch, 4, &SolveOpts::default()).mate
-            });
-            let many = with_threads(n, || {
-                maximal_matching(&g, algo, None, arch, 4, &SolveOpts::default()).mate
-            });
+            let one = with_threads(1, || maximal_matching(&g, algo, None, arch, 4, &opts).mate);
+            let many = with_threads(n, || maximal_matching(&g, algo, None, arch, 4, &opts).mate);
             assert_eq!(one, many, "{algo:?} on {arch}: 1 vs {n} threads differ");
         }
         for algo in [Algo::Baseline, Algo::Degk { k: 2 }] {
             let one = with_threads(1, || {
-                maximal_independent_set(&g, algo, None, arch, 4, &SolveOpts::default()).in_set
+                maximal_independent_set(&g, algo, None, arch, 4, &opts).in_set
             });
             let many = with_threads(n, || {
-                maximal_independent_set(&g, algo, None, arch, 4, &SolveOpts::default()).in_set
+                maximal_independent_set(&g, algo, None, arch, 4, &opts).in_set
             });
             assert_eq!(one, many, "{algo:?} on {arch}: 1 vs {n} threads differ");
         }
@@ -246,6 +211,7 @@ fn productive_round_counts_frontier_mode_invariant() {
 
 #[test]
 fn solver_output_invariant_under_both_claim_strategies() {
+    let opts = SolveOpts::default();
     // The pool's claim discipline (work-stealing deques vs the global
     // counter baseline) redistributes pieces across workers, never the
     // decisions made inside them: solver output must be identical at any
@@ -255,15 +221,7 @@ fn solver_output_invariant_under_both_claim_strategies() {
     let n = wide();
     let before = schedule_strategy();
 
-    let reference = maximal_independent_set(
-        &g,
-        Algo::Baseline,
-        None,
-        Arch::Cpu,
-        4,
-        &SolveOpts::default(),
-    )
-    .in_set;
+    let reference = maximal_independent_set(&g, Algo::Baseline, None, Arch::Cpu, 4, &opts).in_set;
     for strat in [ScheduleStrategy::Stealing, ScheduleStrategy::GlobalCounter] {
         set_schedule_strategy(strat);
         for mode in [
@@ -293,26 +251,10 @@ fn solver_output_invariant_under_both_claim_strategies() {
             );
         }
         let one = with_threads(1, || {
-            maximal_matching(
-                &g,
-                Algo::Degk { k: 2 },
-                None,
-                Arch::Cpu,
-                4,
-                &SolveOpts::default(),
-            )
-            .mate
+            maximal_matching(&g, Algo::Degk { k: 2 }, None, Arch::Cpu, 4, &opts).mate
         });
         let many = with_threads(n, || {
-            maximal_matching(
-                &g,
-                Algo::Degk { k: 2 },
-                None,
-                Arch::Cpu,
-                4,
-                &SolveOpts::default(),
-            )
-            .mate
+            maximal_matching(&g, Algo::Degk { k: 2 }, None, Arch::Cpu, 4, &opts).mate
         });
         assert_eq!(one, many, "{strat:?}: GM/degk 1 vs {n} threads differ");
     }
@@ -321,26 +263,11 @@ fn solver_output_invariant_under_both_claim_strategies() {
 
 #[test]
 fn deterministic_algorithms_ignore_seed() {
+    let opts = SolveOpts::default();
     // GM (lowest-id) and the oriented MIS are deterministic by design; the
     // seed only affects the decomposition in their composites.
     let g = graph();
-    let a = maximal_matching(
-        &g,
-        Algo::Baseline,
-        None,
-        Arch::Cpu,
-        1,
-        &SolveOpts::default(),
-    )
-    .mate;
-    let b = maximal_matching(
-        &g,
-        Algo::Baseline,
-        None,
-        Arch::Cpu,
-        2,
-        &SolveOpts::default(),
-    )
-    .mate;
+    let a = maximal_matching(&g, Algo::Baseline, None, Arch::Cpu, 1, &opts).mate;
+    let b = maximal_matching(&g, Algo::Baseline, None, Arch::Cpu, 2, &opts).mate;
     assert_eq!(a, b, "GM is seedless and must not vary");
 }

@@ -11,22 +11,16 @@ const SEED: u64 = 2017; // the paper's year, why not
 /// chains. Measured in proposal rounds.
 #[test]
 fn vain_tendency_and_its_rand_cure() {
+    let opts = SolveOpts::default();
     let g = generate(GraphId::Rgg23, Scale::Factor(0.15), SEED);
-    let base = maximal_matching(
-        &g,
-        Algo::Baseline,
-        None,
-        Arch::Cpu,
-        SEED,
-        &SolveOpts::default(),
-    );
+    let base = maximal_matching(&g, Algo::Baseline, None, Arch::Cpu, SEED, &opts);
     let rand = maximal_matching(
         &g,
         Algo::Rand { partitions: 10 },
         None,
         Arch::Cpu,
         SEED,
-        &SolveOpts::default(),
+        &opts,
     );
     check_maximal_matching(&g, &base.mate).unwrap();
     check_maximal_matching(&g, &rand.mate).unwrap();
@@ -176,23 +170,10 @@ fn color_degk_palette_bound() {
 /// about as much as solving the problem.
 #[test]
 fn mis_bridge_noncompetitive() {
+    let opts = SolveOpts::default();
     let g = generate(GraphId::RoadCentral, Scale::Factor(0.3), SEED);
-    let base = maximal_independent_set(
-        &g,
-        Algo::Baseline,
-        None,
-        Arch::Cpu,
-        SEED,
-        &SolveOpts::default(),
-    );
-    let bridge = maximal_independent_set(
-        &g,
-        Algo::Bridge,
-        None,
-        Arch::Cpu,
-        SEED,
-        &SolveOpts::default(),
-    );
+    let base = maximal_independent_set(&g, Algo::Baseline, None, Arch::Cpu, SEED, &opts);
+    let bridge = maximal_independent_set(&g, Algo::Bridge, None, Arch::Cpu, SEED, &opts);
     let work = |r: &symmetry_breaking::prelude::MisRun| {
         r.stats.counters.work_items + r.stats.counters.edges_scanned
     };

@@ -131,51 +131,22 @@ fn decomposition_pieces_partition_every_suite_graph() {
 
 #[test]
 fn solution_quality_is_comparable_across_algorithms() {
+    let opts = SolveOpts::default();
     // Decomposition must not degrade solution quality materially:
     // matchings within 25% of the baseline's cardinality, MIS within 25%,
     // colors within 50% (§IV-D reports a few percent in the paper).
     for (id, g) in test_graphs() {
-        let base_m = maximal_matching(
-            &g,
-            Algo::Baseline,
-            None,
-            Arch::Cpu,
-            3,
-            &SolveOpts::default(),
-        )
-        .cardinality();
-        let rand_m = maximal_matching(
-            &g,
-            Algo::Rand { partitions: 10 },
-            None,
-            Arch::Cpu,
-            3,
-            &SolveOpts::default(),
-        )
-        .cardinality();
+        let base_m = maximal_matching(&g, Algo::Baseline, None, Arch::Cpu, 3, &opts).cardinality();
+        let rand_m = maximal_matching(&g, Algo::Rand { partitions: 10 }, None, Arch::Cpu, 3, &opts)
+            .cardinality();
         assert!(
             (rand_m as f64) > 0.75 * base_m as f64,
             "{id:?}: MM-Rand cardinality {rand_m} vs baseline {base_m}"
         );
 
-        let base_i = maximal_independent_set(
-            &g,
-            Algo::Baseline,
-            None,
-            Arch::Cpu,
-            3,
-            &SolveOpts::default(),
-        )
-        .size();
-        let deg2_i = maximal_independent_set(
-            &g,
-            Algo::Degk { k: 2 },
-            None,
-            Arch::Cpu,
-            3,
-            &SolveOpts::default(),
-        )
-        .size();
+        let base_i = maximal_independent_set(&g, Algo::Baseline, None, Arch::Cpu, 3, &opts).size();
+        let deg2_i =
+            maximal_independent_set(&g, Algo::Degk { k: 2 }, None, Arch::Cpu, 3, &opts).size();
         assert!(
             (deg2_i as f64) > 0.75 * base_i as f64,
             "{id:?}: MIS-Deg2 size {deg2_i} vs baseline {base_i}"

@@ -290,6 +290,7 @@ proptest! {
 
 #[test]
 fn rand_partition_with_more_parts_than_vertices() {
+    let opts = SolveOpts::default();
     let g = from_edge_list(3, &[(0, 1), (1, 2)]);
     for k in [4, 16, 100] {
         let d = decompose_rand(&g, k, 7, &Counters::new());
@@ -298,23 +299,10 @@ fn rand_partition_with_more_parts_than_vertices() {
         assert_eq!(d.m_induced + d.m_cross, g.num_edges());
         // Solves over the oversplit decomposition still finish and verify.
         for arch in [Arch::Cpu, Arch::GpuSim] {
-            let run = maximal_matching(
-                &g,
-                Algo::Rand { partitions: k },
-                None,
-                arch,
-                7,
-                &SolveOpts::default(),
-            );
+            let run = maximal_matching(&g, Algo::Rand { partitions: k }, None, arch, 7, &opts);
             check_maximal_matching(&g, &run.mate).unwrap();
-            let run = maximal_independent_set(
-                &g,
-                Algo::Rand { partitions: k },
-                None,
-                arch,
-                7,
-                &SolveOpts::default(),
-            );
+            let run =
+                maximal_independent_set(&g, Algo::Rand { partitions: k }, None, arch, 7, &opts);
             check_maximal_independent_set(&g, &run.in_set).unwrap();
         }
     }
@@ -322,6 +310,7 @@ fn rand_partition_with_more_parts_than_vertices() {
 
 #[test]
 fn degk_on_all_isolated_vertices() {
+    let opts = SolveOpts::default();
     let g = Graph::empty(6);
     for k in [0, 2, 5] {
         let d = decompose_degk(&g, k, &Counters::new());
@@ -329,42 +318,28 @@ fn degk_on_all_isolated_vertices() {
         assert_eq!(d.m_high + d.m_low + d.m_cross, 0);
     }
     for arch in [Arch::Cpu, Arch::GpuSim] {
-        let run = maximal_independent_set(
-            &g,
-            Algo::Degk { k: 2 },
-            None,
-            arch,
-            7,
-            &SolveOpts::default(),
-        );
+        let run = maximal_independent_set(&g, Algo::Degk { k: 2 }, None, arch, 7, &opts);
         assert!(
             run.in_set.iter().all(|&b| b),
             "isolated vertices all join the MIS"
         );
-        let run = maximal_matching(
-            &g,
-            Algo::Degk { k: 2 },
-            None,
-            arch,
-            7,
-            &SolveOpts::default(),
-        );
+        let run = maximal_matching(&g, Algo::Degk { k: 2 }, None, arch, 7, &opts);
         check_maximal_matching(&g, &run.mate).unwrap();
     }
 }
 
 #[test]
 fn bridge_on_empty_and_fully_disconnected_graphs() {
+    let opts = SolveOpts::default();
     for g in [Graph::empty(0), Graph::empty(1), Graph::empty(8)] {
         let d = decompose_bridge(&g, &Counters::new());
         assert!(d.bridges.is_empty());
         for arch in [Arch::Cpu, Arch::GpuSim] {
-            let mm = maximal_matching(&g, Algo::Bridge, None, arch, 7, &SolveOpts::default());
+            let mm = maximal_matching(&g, Algo::Bridge, None, arch, 7, &opts);
             check_maximal_matching(&g, &mm.mate).unwrap();
-            let mis =
-                maximal_independent_set(&g, Algo::Bridge, None, arch, 7, &SolveOpts::default());
+            let mis = maximal_independent_set(&g, Algo::Bridge, None, arch, 7, &opts);
             check_maximal_independent_set(&g, &mis.in_set).unwrap();
-            let col = vertex_coloring(&g, Algo::Bridge, None, arch, 7, &SolveOpts::default());
+            let col = vertex_coloring(&g, Algo::Bridge, None, arch, 7, &opts);
             check_coloring(&g, &col.color).unwrap();
         }
     }

@@ -9,6 +9,14 @@ use symmetry_breaking::graph::EdgeView;
 use symmetry_breaking::prelude::*;
 use symmetry_breaking::trace::{parse_jsonl, rounds_per_phase, total_delta, TraceEvent};
 
+/// Default options with `sink` attached.
+fn traced(sink: &Arc<TraceSink>) -> SolveOpts {
+    SolveOpts {
+        trace: Some(sink.clone()),
+        ..SolveOpts::default()
+    }
+}
+
 const SEED: u64 = 2017;
 
 /// Serialize a sink's trace to a JSONL string.
@@ -64,17 +72,7 @@ fn jsonl_replay_reconstructs_counter_totals() {
     ];
     for algo in mm_algos {
         let sink = Arc::new(TraceSink::enabled());
-        let run = maximal_matching(
-            &g,
-            algo,
-            None,
-            Arch::Cpu,
-            SEED,
-            &SolveOpts {
-                trace: Some(sink.clone()),
-                ..SolveOpts::default()
-            },
-        );
+        let run = maximal_matching(&g, algo, None, Arch::Cpu, SEED, &traced(&sink));
         let events = parse_jsonl(&to_jsonl(&sink)).unwrap();
         assert_eq!(
             total_delta(&events),
@@ -90,17 +88,7 @@ fn jsonl_replay_reconstructs_counter_totals() {
     ];
     for algo in color_algos {
         let sink = Arc::new(TraceSink::enabled());
-        let run = vertex_coloring(
-            &g,
-            algo,
-            None,
-            Arch::Cpu,
-            SEED,
-            &SolveOpts {
-                trace: Some(sink.clone()),
-                ..SolveOpts::default()
-            },
-        );
+        let run = vertex_coloring(&g, algo, None, Arch::Cpu, SEED, &traced(&sink));
         let events = parse_jsonl(&to_jsonl(&sink)).unwrap();
         assert_eq!(
             total_delta(&events),
@@ -117,17 +105,7 @@ fn jsonl_replay_reconstructs_counter_totals() {
     ];
     for algo in mis_algos {
         let sink = Arc::new(TraceSink::enabled());
-        let run = maximal_independent_set(
-            &g,
-            algo,
-            None,
-            Arch::Cpu,
-            SEED,
-            &SolveOpts {
-                trace: Some(sink.clone()),
-                ..SolveOpts::default()
-            },
-        );
+        let run = maximal_independent_set(&g, algo, None, Arch::Cpu, SEED, &traced(&sink));
         let events = parse_jsonl(&to_jsonl(&sink)).unwrap();
         assert_eq!(
             total_delta(&events),
@@ -152,10 +130,7 @@ fn rand_cross_phase_beats_gm_rounds_on_trace() {
         None,
         Arch::Cpu,
         SEED,
-        &SolveOpts {
-            trace: Some(base_sink.clone()),
-            ..SolveOpts::default()
-        },
+        &traced(&base_sink),
     );
     let rand_sink = Arc::new(TraceSink::enabled());
     let rand = maximal_matching(
@@ -164,10 +139,7 @@ fn rand_cross_phase_beats_gm_rounds_on_trace() {
         None,
         Arch::Cpu,
         SEED,
-        &SolveOpts {
-            trace: Some(rand_sink.clone()),
-            ..SolveOpts::default()
-        },
+        &traced(&rand_sink),
     );
     check_maximal_matching(&g, &base.mate).unwrap();
     check_maximal_matching(&g, &rand.mate).unwrap();
@@ -196,10 +168,7 @@ fn round_indices_are_contiguous_and_monotone_per_span() {
         None,
         Arch::Cpu,
         SEED,
-        &SolveOpts {
-            trace: Some(sink.clone()),
-            ..SolveOpts::default()
-        },
+        &traced(&sink),
     );
 
     let mut next: HashMap<Option<u32>, u64> = HashMap::new();
@@ -238,10 +207,7 @@ fn disabled_sink_matches_untraced_run() {
         None,
         Arch::Cpu,
         SEED,
-        &SolveOpts {
-            trace: Some(sink.clone()),
-            ..SolveOpts::default()
-        },
+        &traced(&sink),
     );
     assert_eq!(plain.mate, traced.mate);
     assert_eq!(
