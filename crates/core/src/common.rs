@@ -149,8 +149,11 @@ impl<'a> RunCtx<'a> {
 
     /// The finished run's stats, solve time measured since [`RunCtx::new`].
     pub fn finish(self) -> RunStats {
-        RunStats::from_counters(self.decompose_time, self.clock.elapsed(), self.counters)
-            .with_scratch(self.scratch.stats())
+        let solve_time = self.clock.elapsed();
+        RunStats {
+            scratch: self.scratch.stats(),
+            ..RunStats::from_counters(self.decompose_time, solve_time, self.counters)
+        }
     }
 }
 
@@ -170,7 +173,7 @@ pub struct RunStats {
     /// settled-per-round histogram.
     pub trace: Option<TraceSummary>,
     /// Scratch-arena allocation behavior of the run (fresh allocations vs
-    /// pool reuses) — zeroed when the composite predates the accounting.
+    /// pool reuses) — zeroed for runs without an arena (repairs).
     pub scratch: ScratchStats,
 }
 
@@ -189,13 +192,6 @@ impl RunStats {
             trace: counters.trace_sink().and_then(|s| s.summary()),
             scratch: ScratchStats::default(),
         }
-    }
-
-    /// Attach the run's scratch-arena snapshot (builder style, so the
-    /// composites' `from_counters` call sites stay one expression).
-    pub fn with_scratch(mut self, scratch: ScratchStats) -> RunStats {
-        self.scratch = scratch;
-        self
     }
 
     /// Total wall-clock time.

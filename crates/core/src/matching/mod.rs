@@ -65,7 +65,7 @@ pub fn maximal_matching(
         None => Decomposition::compute(g, algo, seed, &counters),
     };
     let mut run = RunCtx::new(g, arch, seed, opts.frontier, &counters, decompose_time);
-    let mut mate = fresh_mate(g.num_vertices());
+    let mut mate = vec![INVALID; g.num_vertices()];
     let m = &mut mate;
     match (algo, decomp.or(inline.as_ref())) {
         (Algo::Baseline, None) => decomp::baseline(&mut run, m),
@@ -155,11 +155,6 @@ pub(crate) fn materialize_for_gpu(g: &Graph, view: EdgeView<'_>, counters: &Coun
     counters.add_kernel(g.num_edges() as u64);
     counters.add_kernel(4 * sub.num_edges() as u64);
     sub
-}
-
-/// Shared helper: the initial all-unmatched mate array.
-pub(crate) fn fresh_mate(n: usize) -> Vec<u32> {
-    vec![INVALID; n]
 }
 
 /// The paper's rule of thumb for MM-Rand's partition count (§III-B):
