@@ -60,3 +60,38 @@ impl FromStr for SolverConfig {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn matrix_is_complete_and_labels_round_trip() {
+        let all = SolverConfig::all();
+        assert_eq!(all.len(), 30);
+        for cfg in all {
+            let label = cfg.label();
+            assert_eq!(label.parse::<SolverConfig>(), Ok(cfg), "{label}");
+        }
+        // Case files written before labels carried the colon still replay.
+        let glued = "mm-rand3@gpu".parse::<SolverConfig>().unwrap();
+        assert_eq!(glued.label(), "mm-rand:3@gpu");
+    }
+
+    #[test]
+    fn bad_labels_are_rejected() {
+        for bad in [
+            "",
+            "mm-rand3",
+            "mm-randx@gpu",
+            "tsp-baseline@cpu",
+            "mm@cpu",
+            "mm-rand0@cpu",
+            "mm-rand:0@cpu",
+            "mis-degk:0@cpu",
+            "mm-rand:3@tpu",
+        ] {
+            assert!(bad.parse::<SolverConfig>().is_err(), "{bad}");
+        }
+    }
+}
