@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sb_core::coloring::jp::{jp_color_ordered, JpOrdering};
 use sb_core::coloring::vb::vb_extend;
 use sb_core::coloring::vertex_coloring;
-use sb_core::common::{Arch, FrontierMode, SolveOpts};
+use sb_core::common::{Arch, SolveOpts};
 use sb_core::solver::Algo;
 use sb_datasets::suite::{generate, GraphId, Scale};
 use sb_graph::csr::INVALID;
@@ -85,15 +85,7 @@ fn bench_jones_plassmann(c: &mut Criterion) {
         (JpOrdering::SmallestDegreeLast, "jp_smallest_last"),
     ] {
         group.bench_function(label, |b| {
-            b.iter(|| {
-                black_box(jp_color_ordered(
-                    &g,
-                    ordering,
-                    7,
-                    &Counters::new(),
-                    FrontierMode::default(),
-                ))
-            })
+            b.iter(|| black_box(jp_color_ordered(&g, ordering, 7, &Counters::new())))
         });
     }
     group.bench_function("vb", |b| {

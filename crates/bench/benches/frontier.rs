@@ -53,11 +53,7 @@ fn bench_mode_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("frontier_mode");
     group.sample_size(10);
     let g = generate(GraphId::Rgg23, Scale::Factor(0.2), 42);
-    for mode in [
-        FrontierMode::Dense,
-        FrontierMode::Compact,
-        FrontierMode::Bitset,
-    ] {
+    for mode in [FrontierMode::Dense, FrontierMode::Compact] {
         let opts = SolveOpts::with_mode(mode);
         group.bench_function(format!("luby/{mode}"), |b| {
             b.iter(|| {

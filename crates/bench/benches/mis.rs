@@ -3,7 +3,7 @@
 //! ablations from DESIGN.md §6.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sb_core::common::{Arch, FrontierMode, SolveOpts};
+use sb_core::common::{Arch, SolveOpts};
 use sb_core::mis::greedy::greedy_mis;
 use sb_core::mis::luby::{luby_extend, luby_extend_compacted};
 use sb_core::mis::maximal_independent_set;
@@ -59,14 +59,7 @@ fn bench_low_degree_solvers(c: &mut Criterion) {
     group.bench_function("oriented", |b| {
         b.iter(|| {
             let mut st = vec![0u8; g.num_vertices()];
-            oriented_mis_extend(
-                &g,
-                d.low_view(),
-                &mut st,
-                Some(&low_side),
-                &Counters::new(),
-                FrontierMode::default(),
-            );
+            oriented_mis_extend(&g, d.low_view(), &mut st, Some(&low_side), &Counters::new());
             black_box(st)
         })
     });

@@ -30,9 +30,8 @@ pub struct BenchConfig {
     /// binary's default axis: powers of two up to the host parallelism for
     /// scaling harnesses, the host default for single-pool binaries.
     pub threads: Vec<usize>,
-    /// Round-loop live-set strategy (`--frontier dense|compact|bitset`):
-    /// compacted worklists (the default) vs full dense rescans vs u64-bitset
-    /// live sets, for A/B/C comparison.
+    /// Round-loop live-set strategy (`--frontier dense|compact`):
+    /// compacted worklists (the default) vs full dense rescans.
     pub frontier: FrontierMode,
 }
 
@@ -55,7 +54,7 @@ impl Default for BenchConfig {
 /// The flags every bench binary accepts, for usage errors.
 pub const BENCH_USAGE: &str = "flags: --scale <float> --seed <u64> --arch cpu|gpu \
      --graphs <substring> --reps <n> --data-dir <dir> --trace-dir <dir> \
-     --threads <n[,n,…]> --frontier dense|compact|bitset";
+     --threads <n[,n,…]> --frontier dense|compact";
 
 impl BenchConfig {
     /// Parse `--scale`, `--seed`, `--arch`, `--graphs`, `--reps`,
@@ -106,10 +105,9 @@ impl BenchConfig {
                         .collect::<Result<Vec<usize>, String>>()?;
                 }
                 "--frontier" => {
-                    let raw = val("--frontier")?;
-                    cfg.frontier = raw.parse().map_err(|_| {
-                        format!("--frontier must be dense, compact, or bitset, got '{raw}'")
-                    })?;
+                    cfg.frontier = val("--frontier")?
+                        .parse()
+                        .map_err(|e| format!("--frontier: {e}"))?
                 }
                 other => return Err(format!("unknown flag '{other}'")),
             }
@@ -288,12 +286,14 @@ mod tests {
         assert!(e.contains("--reps"), "got: {e}");
         let e = BenchConfig::try_from_args(["--arch".to_string(), "tpu".to_string()]).unwrap_err();
         assert!(e.contains("--arch") && e.contains("'tpu'"), "got: {e}");
-        let e = BenchConfig::try_from_args(["--frontier".to_string(), "sparse".to_string()])
-            .unwrap_err();
-        assert!(
-            e.contains("--frontier") && e.contains("'sparse'"),
-            "got: {e}"
-        );
+        for removed in ["sparse", "bitset"] {
+            let e =
+                BenchConfig::try_from_args(["--frontier", removed].map(String::from)).unwrap_err();
+            assert_eq!(
+                e,
+                format!("--frontier: frontier mode must be dense or compact, got '{removed}'")
+            );
+        }
     }
 
     #[test]
@@ -303,8 +303,6 @@ mod tests {
         assert_eq!(cfg.frontier, FrontierMode::Dense);
         let cfg = BenchConfig::from_args(["--frontier", "compact"].map(String::from));
         assert_eq!(cfg.frontier, FrontierMode::Compact);
-        let cfg = BenchConfig::from_args(["--frontier", "bitset"].map(String::from));
-        assert_eq!(cfg.frontier, FrontierMode::Bitset);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! default 1.0), `--seed <u64>`, `--graphs <substring>` (filter), `--reps
 //! <n>` (timing repetitions, minimum is reported), `--data-dir <path>`
 //! (directory of real SuiteSparse `.mtx` files, used when present),
-//! `--frontier dense|compact|bitset` (solver round representation, default
+//! `--frontier dense|compact` (solver round representation, default
 //! `compact`). Figure binaries also take `--arch cpu|gpu`.
 //!
 //! Every run verifies every solution it times and writes its table to

@@ -436,11 +436,7 @@ mod tests {
     #[test]
     fn matching_figure_verifies_and_reports() {
         let suite = tiny_suite("webbase");
-        for mode in [
-            FrontierMode::Dense,
-            FrontierMode::Compact,
-            FrontierMode::Bitset,
-        ] {
+        for mode in [FrontierMode::Dense, FrontierMode::Compact] {
             let (t, avg) = matching_figure(&suite, Arch::Cpu, 3, 1, None, mode);
             assert_eq!(t.rows.len(), 1);
             assert!(avg.unwrap() > 0.0);
@@ -450,11 +446,7 @@ mod tests {
     #[test]
     fn coloring_and_mis_figures_run_gpu() {
         let suite = tiny_suite("coAuthors");
-        for mode in [
-            FrontierMode::Dense,
-            FrontierMode::Compact,
-            FrontierMode::Bitset,
-        ] {
+        for mode in [FrontierMode::Dense, FrontierMode::Compact] {
             let (t, s) = coloring_figure(&suite, Arch::GpuSim, 3, 1, None, mode);
             assert_eq!(t.rows.len(), 1);
             assert!(s.unwrap() > 0.0);

@@ -230,21 +230,19 @@ pub fn ablate_bicc(arch: Arch) -> TableSchema {
     )
 }
 
-/// Frontier-representation A/B/C table (also saved as
-/// `BENCH_frontier.json`): dense full sweeps vs compact worklists vs u64
-/// bitset frontiers, per workload.
+/// Frontier-representation A/B table (also saved as
+/// `BENCH_frontier.json`): dense full sweeps vs compact worklists, per
+/// workload.
 pub fn ablate_frontier() -> TableSchema {
     TableSchema::new(
         "ablate_frontier",
-        "Frontier representation — dense vs compact vs bitset per workload",
+        "Frontier representation — dense vs compact per workload",
         &[
             "workload",
             "dense ms",
             "compact ms",
-            "bitset ms",
             "dense edges",
             "compact edges",
-            "bitset edges",
             "edge reduction",
         ],
     )
@@ -303,10 +301,10 @@ pub fn ablate_incremental() -> TableSchema {
 
 /// Strong-scaling table (also saved as `BENCH_threads.json`). The column
 /// set depends on the thread axis; `host` is the recorded host parallelism.
-/// Besides the solver workloads, the table carries skewed-workload rows
-/// comparing the pool's claim strategies (stealing vs global counter); on a
-/// host without real parallelism every speedup cell is annotated
-/// host-limited and the saved JSON carries `host_limited: true`.
+/// Besides the solver workloads, the table carries a skewed-workload row
+/// that exercises the pool's work stealing; on a host without real
+/// parallelism every speedup cell is annotated host-limited and the saved
+/// JSON carries `host_limited: true`.
 pub fn ablate_threads(threads: &[usize], host: usize) -> TableSchema {
     let headers: Vec<String> = std::iter::once("workload".to_string())
         .chain(threads.iter().map(|t| format!("{t} thr (ms)")))
@@ -315,10 +313,7 @@ pub fn ablate_threads(threads: &[usize], host: usize) -> TableSchema {
     let refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
     TableSchema::new(
         "ablate_threads",
-        format!(
-            "Strong scaling — wall ms per thread count and claim strategy \
-             (host parallelism: {host})"
-        ),
+        format!("Strong scaling — wall ms per thread count (host parallelism: {host})"),
         &refs,
     )
 }

@@ -51,14 +51,6 @@ fn base_color_extend(
             eb::eb_extend_frontier(g, view, color, worklist, base, &exec, scratch);
             counters.merge(exec.counters());
         }
-        (Arch::Cpu, FrontierMode::Bitset) => {
-            vb::vb_extend_bitset(g, view, color, worklist, window, base, counters, scratch)
-        }
-        (Arch::GpuSim, FrontierMode::Bitset) => {
-            let exec = BspExecutor::inheriting(counters);
-            eb::eb_extend_bitset(g, view, color, worklist, base, &exec, scratch);
-            counters.merge(exec.counters());
-        }
     }
 }
 

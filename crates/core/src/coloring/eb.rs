@@ -10,7 +10,7 @@ use sb_graph::csr::{Graph, VertexId, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::atomic::as_atomic_u32;
 use sb_par::bsp::BspExecutor;
-use sb_par::frontier::{ActiveSet, BitFrontier, Frontier, Scratch};
+use sb_par::frontier::Scratch;
 use std::sync::atomic::Ordering;
 
 /// Color every vertex in `targets` (currently uncolored), respecting
@@ -123,33 +123,6 @@ pub(crate) fn eb_extend_frontier(
     exec: &BspExecutor,
     scratch: &mut Scratch,
 ) {
-    eb_extend_frontier_impl::<Frontier>(g, view, color, targets, base, exec, scratch);
-}
-
-/// Bitset form of [`eb_extend_frontier`] (the [`BitFrontier`]
-/// instantiation): both the vertex live set and the live *edge* set are
-/// held as u64 bitset words over their respective index spaces.
-pub(crate) fn eb_extend_bitset(
-    g: &Graph,
-    view: EdgeView<'_>,
-    color: &mut [u32],
-    targets: Vec<VertexId>,
-    base: u32,
-    exec: &BspExecutor,
-    scratch: &mut Scratch,
-) {
-    eb_extend_frontier_impl::<BitFrontier>(g, view, color, targets, base, exec, scratch);
-}
-
-fn eb_extend_frontier_impl<W: ActiveSet>(
-    g: &Graph,
-    view: EdgeView<'_>,
-    color: &mut [u32],
-    targets: Vec<VertexId>,
-    base: u32,
-    exec: &BspExecutor,
-    scratch: &mut Scratch,
-) {
     let n = g.num_vertices();
     assert_eq!(color.len(), n);
     let mut offset = scratch.take_u32(n, base);
@@ -157,10 +130,10 @@ fn eb_extend_frontier_impl<W: ActiveSet>(
     for &v in &targets {
         is_target[v as usize] = 1;
     }
-    let mut vfront = W::take(scratch);
-    vfront.reset_from(&targets, n);
+    let mut vfront = scratch.take_frontier();
+    vfront.reset_from(&targets);
     let edges = g.edge_list();
-    let mut efront = W::take(scratch);
+    let mut efront = scratch.take_frontier();
     {
         let color_ro: &[u32] = color;
         let is_t: &[u8] = &is_target;
@@ -186,7 +159,7 @@ fn eb_extend_frontier_impl<W: ActiveSet>(
 
             // Kernel 1: speculative assignment over the live targets (every
             // one is uncolored by the frontier invariant).
-            exec.kernel_over_set(&vfront, |v| {
+            exec.kernel_over(vfront.as_slice(), |v| {
                 exec.counters().add_edges(g.degree(v) as u64);
                 let off = off_at[v as usize].load(Ordering::Relaxed);
                 let mut forbidden: u32 = 0;
@@ -211,7 +184,7 @@ fn eb_extend_frontier_impl<W: ActiveSet>(
 
             // Kernel 2: conflict detection over the live edges only.
             exec.counters().add_edges(2 * efront.len() as u64);
-            exec.kernel_over_set(&efront, |e| {
+            exec.kernel_over(efront.as_slice(), |e| {
                 let [u, v] = edges[e as usize];
                 let cu = color_at[u as usize].load(Ordering::Relaxed);
                 if cu != INVALID && cu == color_at[v as usize].load(Ordering::Relaxed) {
@@ -226,8 +199,8 @@ fn eb_extend_frontier_impl<W: ActiveSet>(
             .add_kernel((vfront.len() + efront.len()) as u64);
         {
             let color_ro: &[u32] = color;
-            vfront.retain(|v| color_ro[v as usize] == INVALID);
-            efront.retain(|e| {
+            vfront.compact(|v| color_ro[v as usize] == INVALID);
+            efront.compact(|e| {
                 let [u, v] = edges[e as usize];
                 color_ro[u as usize] == INVALID && color_ro[v as usize] == INVALID
             });
@@ -237,8 +210,8 @@ fn eb_extend_frontier_impl<W: ActiveSet>(
     }
     scratch.recycle_u32(offset);
     scratch.recycle_u8(is_target);
-    vfront.recycle(scratch);
-    efront.recycle(scratch);
+    scratch.recycle_frontier(vfront);
+    scratch.recycle_frontier(efront);
 }
 
 /// Fresh EB coloring of the whole graph.

@@ -9,11 +9,10 @@
 //! Hasenplaugh et al. (the paper's reference \[14\]): largest-degree-first
 //! and smallest-degree-last.
 
-use crate::common::FrontierMode;
 use sb_graph::csr::{Graph, VertexId, INVALID};
 use sb_par::atomic::as_atomic_u32;
 use sb_par::counters::Counters;
-use sb_par::frontier::{ActiveSet, BitFrontier, Frontier, Scratch};
+use sb_par::frontier::Scratch;
 use sb_par::rng::hash2;
 use std::sync::atomic::Ordering;
 
@@ -85,43 +84,24 @@ fn priorities(g: &Graph, ordering: JpOrdering, seed: u64, counters: &Counters) -
 
 /// Color `g` with Jones–Plassmann under the given ordering heuristic.
 ///
-/// `Dense` and `Compact` run the worklist form (JP's worklist *is* its
-/// frontier — there is no separate dense sweep); `Bitset` runs the
-/// identical rounds over a [`BitFrontier`]. Outputs are byte-identical
-/// across modes and thread counts: decisions are double-buffered through a
-/// proposal array, so they depend only on pre-round colors, never on
-/// iteration order.
+/// One worklist form serves every frontier mode: JP's worklist *is* its
+/// frontier, so there is no separate dense sweep. Outputs are
+/// byte-identical across thread counts: decisions are double-buffered
+/// through a proposal array, so they depend only on pre-round colors,
+/// never on iteration order.
 pub fn jp_color_ordered(
     g: &Graph,
     ordering: JpOrdering,
     seed: u64,
     counters: &Counters,
-    mode: FrontierMode,
 ) -> Vec<u32> {
     let mut scratch = Scratch::new();
-    match mode {
-        FrontierMode::Dense | FrontierMode::Compact => {
-            jp_color_ordered_impl::<Frontier>(g, ordering, seed, counters, &mut scratch)
-        }
-        FrontierMode::Bitset => {
-            jp_color_ordered_impl::<BitFrontier>(g, ordering, seed, counters, &mut scratch)
-        }
-    }
-}
-
-fn jp_color_ordered_impl<W: ActiveSet>(
-    g: &Graph,
-    ordering: JpOrdering,
-    seed: u64,
-    counters: &Counters,
-    scratch: &mut Scratch,
-) -> Vec<u32> {
     let n = g.num_vertices();
     let keys = priorities(g, ordering, seed, counters);
     let prio = |v: VertexId| (keys[v as usize], v);
     let mut color = vec![INVALID; n];
     let mut proposal = scratch.take_u32(n, INVALID);
-    let mut work = W::take(scratch);
+    let mut work = scratch.take_frontier();
     work.reset_range(n, |_| true);
 
     while !work.is_empty() {
@@ -173,24 +153,18 @@ fn jp_color_ordered_impl<W: ActiveSet>(
         {
             // Order-stable live-set compaction, so output is unchanged.
             let color_ro: &[u32] = &color;
-            work.retain(|v| color_ro[v as usize] == INVALID);
+            work.compact(|v| color_ro[v as usize] == INVALID);
         }
         counters.finish_round(round, || (before - work.len()) as u64);
     }
-    work.recycle(scratch);
+    scratch.recycle_frontier(work);
     scratch.recycle_u32(proposal);
     color
 }
 
 /// Color `g` with the original random-priority Jones–Plassmann.
 pub fn jp_color(g: &Graph, seed: u64, counters: &Counters) -> Vec<u32> {
-    jp_color_ordered(
-        g,
-        JpOrdering::Random,
-        seed,
-        counters,
-        FrontierMode::default(),
-    )
+    jp_color_ordered(g, JpOrdering::Random, seed, counters)
 }
 
 #[cfg(test)]
@@ -254,7 +228,7 @@ mod tests {
             JpOrdering::LargestDegreeFirst,
             JpOrdering::SmallestDegreeLast,
         ] {
-            let c = jp_color_ordered(&g, ordering, 4, &Counters::new(), FrontierMode::default());
+            let c = jp_color_ordered(&g, ordering, 4, &Counters::new());
             check_coloring(&g, &c).unwrap_or_else(|e| panic!("{ordering:?}: {e}"));
             assert!(color_count(&c) <= g.max_degree() + 1, "{ordering:?}");
         }
@@ -274,13 +248,7 @@ mod tests {
             edges.push((0, b));
         }
         let g = from_edge_list(41, &edges);
-        let c = jp_color_ordered(
-            &g,
-            JpOrdering::SmallestDegreeLast,
-            3,
-            &Counters::new(),
-            FrontierMode::default(),
-        );
+        let c = jp_color_ordered(&g, JpOrdering::SmallestDegreeLast, 3, &Counters::new());
         check_coloring(&g, &c).unwrap();
         assert!(
             color_count(&c) <= 4,

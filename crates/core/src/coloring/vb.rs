@@ -18,7 +18,7 @@ use sb_graph::csr::{Graph, VertexId, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::atomic::as_atomic_u32;
 use sb_par::counters::Counters;
-use sb_par::frontier::{ActiveSet, BitFrontier, Frontier, Scratch};
+use sb_par::frontier::Scratch;
 use std::sync::atomic::Ordering;
 
 /// Color every vertex in `worklist` (which must currently be uncolored),
@@ -53,7 +53,7 @@ pub fn vb_extend(
             work.par_iter().for_each(|&v| {
                 counters.add_edges(g.degree(v) as u64);
                 let off = offset[v as usize];
-                // FORBIDDEN window as a small bitset (window is the average
+                // FORBIDDEN window as a small bit mask (window is the average
                 // degree or k+1 — tens of entries, so a few u64 words).
                 let words = window.div_ceil(64);
                 let mut forb = [0u64; 4];
@@ -142,43 +142,10 @@ pub(crate) fn vb_extend_frontier(
     counters: &Counters,
     scratch: &mut Scratch,
 ) {
-    vb_extend_frontier_impl::<Frontier>(g, view, color, worklist, window, base, counters, scratch);
-}
-
-/// Bitset form of [`vb_extend_frontier`] (the [`BitFrontier`]
-/// instantiation). Same 1-thread byte-identity / N-thread
-/// interleaving-dependence caveats as the worklist form.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn vb_extend_bitset(
-    g: &Graph,
-    view: EdgeView<'_>,
-    color: &mut [u32],
-    worklist: Vec<VertexId>,
-    window: usize,
-    base: u32,
-    counters: &Counters,
-    scratch: &mut Scratch,
-) {
-    vb_extend_frontier_impl::<BitFrontier>(
-        g, view, color, worklist, window, base, counters, scratch,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn vb_extend_frontier_impl<W: ActiveSet>(
-    g: &Graph,
-    view: EdgeView<'_>,
-    color: &mut [u32],
-    worklist: Vec<VertexId>,
-    window: usize,
-    base: u32,
-    counters: &Counters,
-    scratch: &mut Scratch,
-) {
     assert!(window >= 1);
     assert_eq!(color.len(), g.num_vertices());
-    let mut work = W::take(scratch);
-    work.reset_from(&worklist, g.num_vertices());
+    let mut work = scratch.take_frontier();
+    work.reset_from(&worklist);
     let mut offset = scratch.take_u32(g.num_vertices(), base);
 
     while !work.is_empty() {
@@ -225,18 +192,18 @@ fn vb_extend_frontier_impl<W: ActiveSet>(
         }
 
         // Window bump for saturated vertices.
-        work.for_each_seq(|v| {
+        for &v in work.as_slice() {
             if color[v as usize] == INVALID {
                 offset[v as usize] += window as u32;
             }
-        });
+        }
 
         // Conflict detection by frontier compaction over the unmodified
         // colors, then uncolor the survivors — the same reads and writes
         // the dense form performs via filter-collect.
         {
             let color_ref: &[u32] = color;
-            work.retain(|v| {
+            work.compact(|v| {
                 let c = color_ref[v as usize];
                 if c == INVALID {
                     return true; // window saturated, retry with bumped offset
@@ -245,13 +212,13 @@ fn vb_extend_frontier_impl<W: ActiveSet>(
                     .any(|(w, _)| color_ref[w as usize] == c && w > v)
             });
         }
-        work.for_each_seq(|v| {
+        for &v in work.as_slice() {
             color[v as usize] = INVALID;
-        });
+        }
         counters.finish_round(round, || (before - work.len()) as u64);
     }
     scratch.recycle_u32(offset);
-    work.recycle(scratch);
+    scratch.recycle_frontier(work);
 }
 
 /// Fresh VB coloring of the whole graph with the paper's CPU window size

@@ -39,12 +39,9 @@ impl std::fmt::Display for Arch {
 /// between rounds (`sb_par::frontier`), borrows its per-call working arrays
 /// from a scratch arena, and — on the GPU-sim pipeline — runs masked solves
 /// directly against the zero-copy `EdgeView` instead of materializing an
-/// induced CSR. `Bitset` runs the same round structure as `Compact` but
-/// keeps the live set as u64 bitset words (`sb_par::frontier::BitFrontier`):
-/// iteration is a trailing-zeros walk over the nonzero words, winner masks
-/// are word-level ANDs, and compaction emits nonzero-word-index runs. All
-/// modes produce valid solutions; for GM / LMAX / Luby / VB the outputs are
-/// byte-identical across all three (pinned by `tests/frontier.rs`).
+/// induced CSR. Both modes produce valid solutions; for GM / LMAX / Luby /
+/// VB the outputs are byte-identical across the two (pinned by
+/// `tests/frontier.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FrontierMode {
     /// Full-sweep rounds over a participant list fixed at entry.
@@ -52,9 +49,6 @@ pub enum FrontierMode {
     /// Worklist compaction between rounds + scratch-arena buffer reuse.
     #[default]
     Compact,
-    /// u64-bitset live sets: trailing-zeros iteration, word-mask winner
-    /// selection, word-index-run compaction.
-    Bitset,
 }
 
 impl std::fmt::Display for FrontierMode {
@@ -62,7 +56,6 @@ impl std::fmt::Display for FrontierMode {
         match self {
             FrontierMode::Dense => write!(f, "dense"),
             FrontierMode::Compact => write!(f, "compact"),
-            FrontierMode::Bitset => write!(f, "bitset"),
         }
     }
 }
@@ -74,9 +67,8 @@ impl std::str::FromStr for FrontierMode {
         match s {
             "dense" => Ok(FrontierMode::Dense),
             "compact" => Ok(FrontierMode::Compact),
-            "bitset" => Ok(FrontierMode::Bitset),
             other => Err(format!(
-                "frontier mode must be dense, compact, or bitset, got '{other}'"
+                "frontier mode must be dense or compact, got '{other}'"
             )),
         }
     }

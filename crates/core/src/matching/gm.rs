@@ -17,7 +17,7 @@ use sb_graph::csr::{Graph, VertexId, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::atomic::{as_atomic_u32, as_atomic_usize};
 use sb_par::counters::Counters;
-use sb_par::frontier::{ActiveSet, BitFrontier, Frontier, MarkSet, Scratch};
+use sb_par::frontier::Scratch;
 use sb_par::rng::hash2;
 use std::sync::atomic::Ordering;
 
@@ -126,38 +126,11 @@ pub(crate) fn gm_extend_frontier(
     counters: &Counters,
     scratch: &mut Scratch,
 ) {
-    gm_extend_frontier_impl::<Frontier>(g, view, mate, allowed, counters, scratch);
-}
-
-/// Bitset form of [`gm_extend_frontier`]: the identical dirty-cache proposal
-/// rounds with the live set held as u64 bitset words ([`BitFrontier`]) and
-/// the dirty marks as a word bitset. Iteration walks nonzero words by
-/// trailing zeros in ascending order — the same order as the worklist form —
-/// so outputs stay byte-identical to [`gm_extend`].
-pub(crate) fn gm_extend_bitset(
-    g: &Graph,
-    view: EdgeView<'_>,
-    mate: &mut [u32],
-    allowed: Option<&[bool]>,
-    counters: &Counters,
-    scratch: &mut Scratch,
-) {
-    gm_extend_frontier_impl::<BitFrontier>(g, view, mate, allowed, counters, scratch);
-}
-
-fn gm_extend_frontier_impl<W: ActiveSet>(
-    g: &Graph,
-    view: EdgeView<'_>,
-    mate: &mut [u32],
-    allowed: Option<&[bool]>,
-    counters: &Counters,
-    scratch: &mut Scratch,
-) {
     let n = g.num_vertices();
     assert_eq!(mate.len(), n);
     let allow = |v: usize| allowed.is_none_or(|a| a[v]);
 
-    let mut live = W::take(scratch);
+    let mut live = scratch.take_frontier();
     {
         let mate_ro: &[u32] = mate;
         live.reset_range(n, |v| {
@@ -167,7 +140,7 @@ fn gm_extend_frontier_impl<W: ActiveSet>(
     let mut proposal = scratch.take_u32(n, INVALID);
     let mut cursor = scratch.take_usize(n, 0);
     // Dirty = the cached proposal may be stale; everything starts dirty.
-    let dirty = W::take_marks(scratch, n, true);
+    let dirty = scratch.take_marks(n, true);
 
     while !live.is_empty() {
         let round = counters.round_scope(live.len() as u64);
@@ -234,14 +207,14 @@ fn gm_extend_frontier_impl<W: ActiveSet>(
         {
             let mate_ro: &[u32] = mate;
             let prop_ro: &[u32] = &proposal;
-            live.retain(|v| mate_ro[v as usize] == INVALID && prop_ro[v as usize] != INVALID);
+            live.compact(|v| mate_ro[v as usize] == INVALID && prop_ro[v as usize] != INVALID);
         }
         counters.finish_round(round, || (before - live.len()) as u64);
     }
     scratch.recycle_u32(proposal);
     scratch.recycle_usize(cursor);
-    W::recycle_marks(dirty, scratch);
-    live.recycle(scratch);
+    scratch.recycle_marks(dirty);
+    scratch.recycle_frontier(live);
 }
 
 /// The random-edge-priority variant (Blelloch-style): each vertex proposes

@@ -17,7 +17,7 @@ use sb_graph::csr::{Graph, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::atomic::as_atomic_u32;
 use sb_par::bsp::BspExecutor;
-use sb_par::frontier::{ActiveSet, BitFrontier, Frontier, Scratch};
+use sb_par::frontier::Scratch;
 use sb_par::rng::hash2;
 use std::sync::atomic::Ordering;
 
@@ -170,38 +170,12 @@ pub(crate) fn lmax_extend_frontier(
     exec: &BspExecutor,
     scratch: &mut Scratch,
 ) {
-    lmax_extend_frontier_impl::<Frontier>(g, view, mate, allowed, seed, exec, scratch);
-}
-
-/// Bitset form of [`lmax_extend_frontier`] (the [`BitFrontier`]
-/// instantiation): same point/match kernels, live set as u64 bitset words.
-pub(crate) fn lmax_extend_bitset(
-    g: &Graph,
-    view: EdgeView<'_>,
-    mate: &mut [u32],
-    allowed: Option<&[bool]>,
-    seed: u64,
-    exec: &BspExecutor,
-    scratch: &mut Scratch,
-) {
-    lmax_extend_frontier_impl::<BitFrontier>(g, view, mate, allowed, seed, exec, scratch);
-}
-
-fn lmax_extend_frontier_impl<W: ActiveSet>(
-    g: &Graph,
-    view: EdgeView<'_>,
-    mate: &mut [u32],
-    allowed: Option<&[bool]>,
-    seed: u64,
-    exec: &BspExecutor,
-    scratch: &mut Scratch,
-) {
     let n = g.num_vertices();
     assert_eq!(mate.len(), n);
     let allow = |v: usize| allowed.is_none_or(|a| a[v]);
     let weight = |e: u32| (hash2(seed, e as u64), e);
 
-    let mut live = W::take(scratch);
+    let mut live = scratch.take_frontier();
     {
         let mate_ro: &[u32] = mate;
         live.reset_range(n, |v| {
@@ -223,7 +197,7 @@ fn lmax_extend_frontier_impl<W: ActiveSet>(
 
             // Kernel 1: point at the heaviest live incident edge.
             let flag = std::sync::atomic::AtomicBool::new(false);
-            exec.kernel_over_set(&live, |v| {
+            exec.kernel_over(live.as_slice(), |v| {
                 exec.counters().add_edges(g.degree(v) as u64);
                 let mut best = INVALID;
                 let mut best_key = (0u64, 0u32);
@@ -247,7 +221,7 @@ fn lmax_extend_frontier_impl<W: ActiveSet>(
 
             // Kernel 2: mutual pointers match.
             if any_pointer {
-                exec.kernel_over_set(&live, |v| {
+                exec.kernel_over(live.as_slice(), |v| {
                     if mate_at[v as usize].load(Ordering::Relaxed) != INVALID {
                         return;
                     }
@@ -264,7 +238,7 @@ fn lmax_extend_frontier_impl<W: ActiveSet>(
             // the full participant list inside the next kernel 1).
             exec.counters().add_kernel(live.len() as u64);
             let mate_ro: &[u32] = mate;
-            live.retain(|v| mate_ro[v as usize] == INVALID);
+            live.compact(|v| mate_ro[v as usize] == INVALID);
         }
         exec.end_round();
         counters.finish_round_flagged(scope, !any_pointer, || active - live.len() as u64);
@@ -273,7 +247,7 @@ fn lmax_extend_frontier_impl<W: ActiveSet>(
         }
     }
     scratch.recycle_u32(pointer);
-    live.recycle(scratch);
+    scratch.recycle_frontier(live);
 }
 
 #[cfg(test)]

@@ -137,14 +137,6 @@ pub(crate) fn base_extend(
             lmax::lmax_extend_frontier(g, view, mate, allowed, seed, &exec, scratch);
             counters.merge(exec.counters());
         }
-        (Arch::Cpu, FrontierMode::Bitset) => {
-            gm::gm_extend_bitset(g, view, mate, allowed, counters, scratch)
-        }
-        (Arch::GpuSim, FrontierMode::Bitset) => {
-            let exec = BspExecutor::inheriting(counters);
-            lmax::lmax_extend_bitset(g, view, mate, allowed, seed, &exec, scratch);
-            counters.merge(exec.counters());
-        }
     }
 }
 

@@ -1,9 +1,6 @@
 //! Decomposition-based MIS (Algorithms 10–12 of the paper).
 
-use super::luby::{
-    luby_extend, luby_extend_bitset, luby_extend_bsp, luby_extend_bsp_bitset,
-    luby_extend_bsp_frontier, luby_extend_frontier,
-};
+use super::luby::{luby_extend, luby_extend_bsp, luby_extend_bsp_frontier, luby_extend_frontier};
 use super::oriented::oriented_mis_extend;
 use super::status::{IN, OUT, UNDECIDED};
 use crate::common::{Arch, FrontierMode, RunCtx};
@@ -54,14 +51,6 @@ fn base_mis_extend(
         (Arch::GpuSim, FrontierMode::Compact) => {
             let exec = BspExecutor::inheriting(counters);
             luby_extend_bsp_frontier(g, view, status, allowed, seed, &exec, scratch);
-            counters.merge(exec.counters());
-        }
-        (Arch::Cpu, FrontierMode::Bitset) => {
-            luby_extend_bitset(g, view, status, allowed, seed, counters, scratch)
-        }
-        (Arch::GpuSim, FrontierMode::Bitset) => {
-            let exec = BspExecutor::inheriting(counters);
-            luby_extend_bsp_bitset(g, view, status, allowed, seed, &exec, scratch);
             counters.merge(exec.counters());
         }
     }
@@ -207,7 +196,7 @@ pub(super) fn mis_degk(run: &mut RunCtx<'_>, d: &DegkDecomposition, status: &mut
         let _span = run.counters.phase("fringe-peel");
         if k <= 2 {
             let view = d.low_view();
-            oriented_mis_extend(g, view, status, Some(&low_side), run.counters, run.mode);
+            oriented_mis_extend(g, view, status, Some(&low_side), run.counters);
         } else {
             base_mis_extend(run, d.low_view(), status, Some(&low_side), seed ^ 4);
         }

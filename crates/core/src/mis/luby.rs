@@ -29,7 +29,7 @@ use sb_graph::view::EdgeView;
 use sb_par::atomic::as_atomic_u8;
 use sb_par::bsp::BspExecutor;
 use sb_par::counters::Counters;
-use sb_par::frontier::{ActiveSet, BitFrontier, Frontier, MarkSet, Scratch};
+use sb_par::frontier::Scratch;
 use sb_par::rng::hash3;
 use std::sync::atomic::Ordering;
 
@@ -290,46 +290,16 @@ pub(crate) fn luby_extend_frontier(
     counters: &Counters,
     scratch: &mut Scratch,
 ) {
-    luby_extend_frontier_impl::<Frontier>(g, view, status, allowed, seed, counters, scratch);
-}
-
-/// Bitset form of [`luby_extend_frontier`]: the same monomorphized round
-/// loop instantiated with [`BitFrontier`], so the live set is u64 words,
-/// the marked-candidate selection is a word-level AND (`select_marked_into`
-/// with one-bit-per-vertex marks), and compaction emits word-index runs.
-/// Byte-identical to the worklist form: both iterate members in increasing
-/// vertex order wherever order matters.
-pub(crate) fn luby_extend_bitset(
-    g: &Graph,
-    view: EdgeView<'_>,
-    status: &mut [u8],
-    allowed: Option<&[bool]>,
-    seed: u64,
-    counters: &Counters,
-    scratch: &mut Scratch,
-) {
-    luby_extend_frontier_impl::<BitFrontier>(g, view, status, allowed, seed, counters, scratch);
-}
-
-fn luby_extend_frontier_impl<W: ActiveSet>(
-    g: &Graph,
-    view: EdgeView<'_>,
-    status: &mut [u8],
-    allowed: Option<&[bool]>,
-    seed: u64,
-    counters: &Counters,
-    scratch: &mut Scratch,
-) {
     let n = g.num_vertices();
     assert_eq!(status.len(), n);
     let allow = |v: usize| allowed.is_none_or(|a| a[v]);
-    let mut work = W::take(scratch);
+    let mut work = scratch.take_frontier();
     work.reset_range(n, |v| status[v as usize] == UNDECIDED && allow(v as usize));
     let mut degree = scratch.take_u32(n, 0);
-    let marked = W::take_marks(scratch, n, false);
+    let marked = scratch.take_marks(n, false);
     // Compacted marked-candidate / winner sets, reused across rounds.
-    let mut cand = W::take(scratch);
-    let mut winners = W::take(scratch);
+    let mut cand = scratch.take_frontier();
+    let mut winners = scratch.take_frontier();
     let mut round = 0u64;
 
     while !work.is_empty() {
@@ -362,8 +332,7 @@ fn luby_extend_frontier_impl<W: ActiveSet>(
 
             // Sweep 2: conflict resolution over the marked candidates only.
             // An unmarked vertex can never join, so the selection skips both
-            // its closure invocation and its residual-degree charge. In
-            // bitset mode this is live ∩ marked as one AND per word.
+            // its closure invocation and its residual-degree charge.
             work.select_marked_into(mk, &mut cand);
             cand.for_each(|v| {
                 counters.add_edges(deg_at[v as usize].load(Ordering::Relaxed) as u64);
@@ -414,14 +383,14 @@ fn luby_extend_frontier_impl<W: ActiveSet>(
             }
         }
         let st_now: &[u8] = status;
-        work.retain(|v| st_now[v as usize] == UNDECIDED);
+        work.compact(|v| st_now[v as usize] == UNDECIDED);
         counters.finish_round(scope, || (live - work.len()) as u64);
     }
     scratch.recycle_u32(degree);
-    W::recycle_marks(marked, scratch);
-    winners.recycle(scratch);
-    cand.recycle(scratch);
-    work.recycle(scratch);
+    scratch.recycle_marks(marked);
+    scratch.recycle_frontier(winners);
+    scratch.recycle_frontier(cand);
+    scratch.recycle_frontier(work);
 }
 
 /// Frontier form of [`luby_extend_bsp`]: the same per-round kernels,
@@ -441,41 +410,15 @@ pub(crate) fn luby_extend_bsp_frontier(
     exec: &BspExecutor,
     scratch: &mut Scratch,
 ) {
-    luby_extend_bsp_frontier_impl::<Frontier>(g, view, status, allowed, seed, exec, scratch);
-}
-
-/// Bitset form of [`luby_extend_bsp_frontier`] (the [`BitFrontier`]
-/// instantiation); see [`luby_extend_bitset`] for the representation.
-pub(crate) fn luby_extend_bsp_bitset(
-    g: &Graph,
-    view: EdgeView<'_>,
-    status: &mut [u8],
-    allowed: Option<&[bool]>,
-    seed: u64,
-    exec: &BspExecutor,
-    scratch: &mut Scratch,
-) {
-    luby_extend_bsp_frontier_impl::<BitFrontier>(g, view, status, allowed, seed, exec, scratch);
-}
-
-fn luby_extend_bsp_frontier_impl<W: ActiveSet>(
-    g: &Graph,
-    view: EdgeView<'_>,
-    status: &mut [u8],
-    allowed: Option<&[bool]>,
-    seed: u64,
-    exec: &BspExecutor,
-    scratch: &mut Scratch,
-) {
     let n = g.num_vertices();
     assert_eq!(status.len(), n);
     let allow = |v: usize| allowed.is_none_or(|a| a[v]);
-    let mut work = W::take(scratch);
+    let mut work = scratch.take_frontier();
     work.reset_range(n, |v| status[v as usize] == UNDECIDED && allow(v as usize));
     let mut degree = scratch.take_u32(n, 0);
-    let marked = W::take_marks(scratch, n, false);
-    let mut cand = W::take(scratch);
-    let mut winners = W::take(scratch);
+    let marked = scratch.take_marks(n, false);
+    let mut cand = scratch.take_frontier();
+    let mut winners = scratch.take_frontier();
     let mut round = 0u64;
     let counters = exec.counters();
 
@@ -489,7 +432,7 @@ fn luby_extend_bsp_frontier_impl<W: ActiveSet>(
             let mk = &marked;
 
             // Kernel 1: residual degree + probabilistic marking.
-            exec.kernel_over_set(&work, |v| {
+            exec.kernel_over(work.as_slice(), |v| {
                 let vi = v as usize;
                 exec.counters().add_edges(g.degree(v) as u64);
                 let mut d = 0u32;
@@ -506,7 +449,7 @@ fn luby_extend_bsp_frontier_impl<W: ActiveSet>(
             // Kernel 2: conflict resolution, launched over the marked
             // candidates only (an unmarked vertex can never join).
             work.select_marked_into(mk, &mut cand);
-            exec.kernel_over_set(&cand, |v| {
+            exec.kernel_over(cand.as_slice(), |v| {
                 let vi = v as usize;
                 exec.counters()
                     .add_edges(deg_at[vi].load(Ordering::Relaxed) as u64);
@@ -528,7 +471,7 @@ fn luby_extend_bsp_frontier_impl<W: ActiveSet>(
             // earlier extend calls exclude too), later rounds scatter from
             // the winners.
             if round == 1 {
-                exec.kernel_over_set(&work, |v| {
+                exec.kernel_over(work.as_slice(), |v| {
                     let vi = v as usize;
                     if st[vi].load(Ordering::Relaxed) != UNDECIDED {
                         return;
@@ -546,7 +489,7 @@ fn luby_extend_bsp_frontier_impl<W: ActiveSet>(
                     |v| st[v as usize].load(Ordering::Relaxed) == IN,
                     &mut winners,
                 );
-                exec.kernel_over_set(&winners, |u| {
+                exec.kernel_over(winners.as_slice(), |u| {
                     exec.counters().add_edges(g.degree(u) as u64);
                     for (w, _) in view.arcs(g, u) {
                         if st[w as usize].load(Ordering::Relaxed) == UNDECIDED && allow(w as usize)
@@ -562,15 +505,15 @@ fn luby_extend_bsp_frontier_impl<W: ActiveSet>(
         // form's termination-count kernel.
         exec.counters().add_kernel(live as u64);
         let st_now: &[u8] = status;
-        work.retain(|v| st_now[v as usize] == UNDECIDED);
+        work.compact(|v| st_now[v as usize] == UNDECIDED);
         exec.end_round();
         counters.finish_round(scope, || (live - work.len()) as u64);
     }
     scratch.recycle_u32(degree);
-    W::recycle_marks(marked, scratch);
-    winners.recycle(scratch);
-    cand.recycle(scratch);
-    work.recycle(scratch);
+    scratch.recycle_marks(marked);
+    scratch.recycle_frontier(winners);
+    scratch.recycle_frontier(cand);
+    scratch.recycle_frontier(work);
 }
 
 /// Worklist-compacted Luby — the modern optimization of the same algorithm,

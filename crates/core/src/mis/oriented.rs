@@ -22,7 +22,6 @@
 
 use super::status::{IN, OUT, UNDECIDED};
 use super::undecided_participants;
-use crate::common::FrontierMode;
 use rayon::prelude::*;
 use sb_graph::csr::{Graph, VertexId, INVALID};
 use sb_graph::view::EdgeView;
@@ -46,18 +45,13 @@ fn cv_step(c: u32, cp: u32) -> u32 {
 /// debug builds otherwise.
 ///
 /// The algorithm has no round-over-round frontier (the participant set is
-/// fixed at entry), so `mode` only selects how the participant
-/// *membership mask* is held: `Dense`/`Compact` use the byte array,
-/// `Bitset` packs it into u64 words probed with shift-and-mask. Outputs
-/// are identical — the mask answers exactly the same membership queries
-/// either way.
+/// fixed at entry), so every frontier mode runs this one form.
 pub fn oriented_mis_extend(
     g: &Graph,
     view: EdgeView<'_>,
     status: &mut [u8],
     allowed: Option<&[bool]>,
     counters: &Counters,
-    mode: FrontierMode,
 ) {
     let n = g.num_vertices();
     assert_eq!(status.len(), n);
@@ -65,41 +59,14 @@ pub fn oriented_mis_extend(
     if parts.is_empty() {
         return;
     }
-    match mode {
-        FrontierMode::Dense | FrontierMode::Compact => {
-            let active: Vec<bool> = {
-                let mut a = vec![false; n];
-                for &v in &parts {
-                    a[v as usize] = true;
-                }
-                a
-            };
-            oriented_mis_impl(g, view, status, counters, &parts, |w| active[w]);
+    let active: Vec<bool> = {
+        let mut a = vec![false; n];
+        for &v in &parts {
+            a[v as usize] = true;
         }
-        FrontierMode::Bitset => {
-            let words: Vec<u64> = {
-                let mut w = vec![0u64; n.div_ceil(64)];
-                for &v in &parts {
-                    w[v as usize / 64] |= 1u64 << (v % 64);
-                }
-                w
-            };
-            oriented_mis_impl(g, view, status, counters, &parts, |w| {
-                words[w / 64] >> (w % 64) & 1 == 1
-            });
-        }
-    }
-}
+        a
+    };
 
-fn oriented_mis_impl<A: Fn(usize) -> bool + Sync>(
-    g: &Graph,
-    view: EdgeView<'_>,
-    status: &mut [u8],
-    counters: &Counters,
-    parts: &[VertexId],
-    active: A,
-) {
-    let n = g.num_vertices();
     // Step 1: id-orientation → two forests. parent1 = smaller out-neighbor,
     // parent2 = larger out-neighbor (out-neighbor = active neighbor with a
     // larger id). Parents have strictly larger ids → both relations are
@@ -112,7 +79,7 @@ fn oriented_mis_impl<A: Fn(usize) -> bool + Sync>(
             let mut cnt = 0;
             let mut deg_active = 0;
             for (w, _) in view.arcs(g, v) {
-                if active(w as usize) {
+                if active[w as usize] {
                     deg_active += 1;
                     if w > v {
                         debug_assert!(cnt < 2, "degree > 2 among participants at {v}");
@@ -205,7 +172,7 @@ fn oriented_mis_impl<A: Fn(usize) -> bool + Sync>(
                 let v = parts[i as usize];
                 let mut used = [false; 3];
                 for (w, _) in view.arcs(g, v) {
-                    if active(w as usize) {
+                    if active[w as usize] {
                         let cw = color[dense[w as usize] as usize];
                         if cw < 3 {
                             used[cw as usize] = true;
@@ -262,7 +229,7 @@ fn oriented_mis_impl<A: Fn(usize) -> bool + Sync>(
                 st[v as usize].store(IN, Ordering::Relaxed);
                 // Exclude active undecided neighbors (idempotent stores).
                 for (w, _) in view.arcs(g, v) {
-                    if active(w as usize) && st[w as usize].load(Ordering::Relaxed) == UNDECIDED {
+                    if active[w as usize] && st[w as usize].load(Ordering::Relaxed) == UNDECIDED {
                         st[w as usize].store(OUT, Ordering::Relaxed);
                     }
                 }
@@ -281,14 +248,7 @@ mod tests {
 
     fn solve(g: &Graph) -> Vec<bool> {
         let mut st = vec![UNDECIDED; g.num_vertices()];
-        oriented_mis_extend(
-            g,
-            EdgeView::full(),
-            &mut st,
-            None,
-            &Counters::new(),
-            FrontierMode::default(),
-        );
+        oriented_mis_extend(g, EdgeView::full(), &mut st, None, &Counters::new());
         assert!(st.iter().all(|&s| s != UNDECIDED), "all must be decided");
         st.iter().map(|&s| s == IN).collect()
     }
@@ -348,7 +308,6 @@ mod tests {
             &mut st,
             Some(&allowed),
             &Counters::new(),
-            FrontierMode::default(),
         );
         assert_eq!(st[0], IN);
         assert_eq!(st[4], UNDECIDED, "masked vertex untouched");

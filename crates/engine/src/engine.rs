@@ -575,11 +575,7 @@ mod tests {
             for algo in Algo::all(3, 2) {
                 let solver = Solver { problem, algo };
                 for arch in [Arch::Cpu, Arch::GpuSim] {
-                    for mode in [
-                        FrontierMode::Dense,
-                        FrontierMode::Compact,
-                        FrontierMode::Bitset,
-                    ] {
+                    for mode in [FrontierMode::Dense, FrontierMode::Compact] {
                         let opts = SolveOpts::with_mode(mode);
                         let tag = format!("{}@{arch}/{mode}", solver.label());
                         let mut engine = Engine::with_cap(8);

@@ -15,7 +15,7 @@
 //! problem = "mm"        # mm | color | mis
 //! algo = "rand:10"      # baseline | bridge | rand[:P] | degk[:K] | bicc
 //! arch = "cpu"          # cpu | gpu (default cpu)
-//! frontier = "compact"  # dense | compact | bitset (default compact)
+//! frontier = "compact"  # dense | compact (default compact)
 //! threads = 4           # optional per-job pool pin
 //! timeout_ms = 60000    # optional watchdog budget
 //! graph_seed = 7        # optional; generation seed (defaults to seed)
@@ -359,6 +359,15 @@ timeout_ms = 5000
         let e = parse_jobs(bad_algo, "j.toml").unwrap_err();
         assert!(e.starts_with("j.toml:4:"), "{e}");
         assert!(e.contains("unknown algo"), "{e}");
+
+        let bad_frontier = "[[job]]\ngraph = \"gen:lp1\"\nproblem = \"mm\"\nalgo = \"rand\"\n\
+                            frontier = \"bitset\"\n";
+        let e = parse_jobs(bad_frontier, "j.toml").unwrap_err();
+        assert!(e.starts_with("j.toml:5:"), "{e}");
+        assert!(
+            e.contains("frontier mode must be dense or compact, got 'bitset'"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -36,8 +36,8 @@ use sb_graph::editlog::EditLog;
 use sb_par::exec::with_threads;
 use sb_trace::{span_durations, TraceSink};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
@@ -46,6 +46,14 @@ use std::time::{Duration, Instant};
 /// How long blocking reads and drains wait before re-checking the
 /// shutdown flag.
 const POLL: Duration = Duration::from_millis(100);
+
+/// Longest request line a connection may send, in bytes, newline
+/// excluded. The largest real request — a `mutate` carrying its `edits`
+/// string — is tens of KB at the batch sizes in use. A longer line is
+/// answered with a typed `bad_request` and the connection is closed, so a
+/// client that never sends a newline cannot grow the read buffer without
+/// bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -945,15 +953,39 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
         if shared.shutting_down() {
             break;
         }
-        match reader.read_line(&mut line) {
+        // The cap counts the whole accumulated line: a partial line stays
+        // in `line` across read timeouts, so each read may only take what
+        // is left of the budget (one byte past it marks an overflow).
+        let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                shared.counts.bad_request.fetch_add(1, Ordering::Relaxed);
+                writer.send(&error_response_json(
+                    "",
+                    "bad_request",
+                    &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                ));
+                let _ = lock(&writer.stream).shutdown(Shutdown::Both);
+                break;
+            }
             Ok(_) => {
-                handle_line(shared, &writer, conn_id, line.trim());
+                match std::str::from_utf8(&line) {
+                    Ok(text) => handle_line(shared, &writer, conn_id, text.trim()),
+                    Err(_) => {
+                        shared.counts.bad_request.fetch_add(1, Ordering::Relaxed);
+                        writer.send(&error_response_json(
+                            "",
+                            "bad_request",
+                            "request line is not valid UTF-8",
+                        ));
+                    }
+                }
                 line.clear();
             }
             // Timed out mid-wait (or mid-line: whatever was read stays in

@@ -8,7 +8,7 @@ use std::str::FromStr;
 
 /// One solver configuration: a registry [`Solver`] on one architecture.
 /// Frontier mode and thread count are *not* part of the configuration —
-/// the oracle runs every configuration at dense/compact/bitset × 1/N and
+/// the oracle runs every configuration at dense/compact × 1/N and
 /// cross-checks, which is the whole point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {

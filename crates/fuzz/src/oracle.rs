@@ -2,15 +2,15 @@
 //! frontier-mode × thread-count matrix and cross-check everything the
 //! project's contracts promise (DESIGN.md §10–§11).
 //!
-//! Per case the oracle runs all three frontier modes (dense, compact,
-//! bitset) at 1 and N threads — six runs — and checks:
+//! Per case the oracle runs both frontier modes (dense, compact) at 1 and
+//! N threads — four runs — and checks:
 //!
 //! 1. **Validity + maximality** of every run against the sequential
 //!    oracles in `sb_core::verify`.
-//! 2. **Byte-equality** where the contract promises it: all six runs for
-//!    matching and MIS; the 1-thread runs across all three modes for
-//!    coloring (VB's speculative conflict resolution is
-//!    interleaving-dependent at N).
+//! 2. **Byte-equality** where the contract promises it: all four runs for
+//!    matching and MIS; the 1-thread runs across both modes for coloring
+//!    (VB's speculative conflict resolution is interleaving-dependent at
+//!    N).
 //! 3. **Trace/counter accounting**: the top-level span deltas of the
 //!    trace must sum to exactly the run's counter snapshot.
 //! 4. **Round accounting**: per-phase round records are thread-invariant
@@ -43,13 +43,6 @@ pub enum Mutation {
     /// or mis-keyed cache entry. The engine axis must catch the resulting
     /// cached-vs-fresh divergence; the solver matrix ignores it.
     StaleDecompCache,
-    /// Flip the MIS membership of vertices 63/64/65 after every
-    /// *bitset-mode* solve — the footprint of the classic `i & 63` /
-    /// `i >> 6` off-by-one at the u64 word seam. Flipping any bit of a
-    /// maximal independent set breaks independence or maximality, so the
-    /// oracle must flag it on any graph whose universe reaches word 1
-    /// (and must stay clean on graphs that never do).
-    BitsetWordBoundary,
     /// Serve the stream's *prior* solution instead of running the repair
     /// on every edit batch ([`check_edit_chain`]) — the footprint of a
     /// stale-stream bug where a dynamic-graph service answers from the
@@ -107,15 +100,6 @@ fn run_one(
                     mate[m] = INVALID;
                 }
             }
-            Solution::Set(in_set)
-                if mutation == Mutation::BitsetWordBoundary && mode == FrontierMode::Bitset =>
-            {
-                for v in [63usize, 64, 65] {
-                    if let Some(b) = in_set.get_mut(v) {
-                        *b = !*b;
-                    }
-                }
-            }
             _ => {}
         }
         RunOutput {
@@ -150,10 +134,8 @@ pub fn check_case(
     let combos = [
         (FrontierMode::Dense, 1),
         (FrontierMode::Compact, 1),
-        (FrontierMode::Bitset, 1),
         (FrontierMode::Dense, wide.max(1)),
         (FrontierMode::Compact, wide.max(1)),
-        (FrontierMode::Bitset, wide.max(1)),
     ];
     let runs: Vec<RunOutput> = combos
         .iter()
@@ -218,11 +200,7 @@ pub fn check_case(
     // 4a. Per-phase round records are thread-invariant within a mode for
     // the seed-deterministic families (matching, MIS).
     if cfg.solver.problem != Problem::Color {
-        for mode in [
-            FrontierMode::Dense,
-            FrontierMode::Compact,
-            FrontierMode::Bitset,
-        ] {
+        for mode in [FrontierMode::Dense, FrontierMode::Compact] {
             let pair: Vec<&RunOutput> = runs.iter().filter(|r| r.mode == mode).collect();
             let a = sb_trace::rounds_per_phase(&pair[0].events);
             let b = sb_trace::rounds_per_phase(&pair[1].events);
@@ -350,7 +328,7 @@ pub fn check_engine_case(
 /// 2. **Repaired-vs-fresh agreement**: a fresh solve of the edited graph
 ///    must agree with the repaired solution on validity (both verify) —
 ///    checked on the first mode so each batch pays one fresh solve, not
-///    three.
+///    two.
 /// 3. **Mode-invariance**: repairs are sequential and deterministic, and
 ///    single-thread initial solves are mode-invariant for every family,
 ///    so the final repaired output must be byte-identical across
@@ -368,11 +346,7 @@ pub fn check_edit_chain(
 ) -> Result<(), Failure> {
     use sb_core::repair;
 
-    let modes = [
-        FrontierMode::Dense,
-        FrontierMode::Compact,
-        FrontierMode::Bitset,
-    ];
+    let modes = [FrontierMode::Dense, FrontierMode::Compact];
     let mut finals: Vec<(FrontierMode, Solution)> = Vec::new();
     for (mi, &mode) in modes.iter().enumerate() {
         let opts = SolveOpts {
@@ -625,34 +599,6 @@ mod tests {
         let mut edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         edges.extend((0..n).map(|i| (i, (i * 7 + 3) % n)));
         from_edge_list(n as usize, &edges)
-    }
-
-    #[test]
-    fn planted_word_boundary_bug_is_caught() {
-        // A universe reaching into u64 word 1 (70 > 65): the planted
-        // bitset off-by-one at vertices 63/64/65 must trip the oracle as
-        // a validity or cross-mode equality failure.
-        let n = 70u32;
-        let mut edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        edges.extend((0..n).map(|i| (i, (i * 7 + 3) % n)));
-        let g = from_edge_list(n as usize, &edges);
-        let cfg = cfg("mis-baseline@cpu");
-        let f = check_case(&g, &cfg, 7, 2, Mutation::BitsetWordBoundary).unwrap_err();
-        assert!(
-            f.kind == "validity" || f.kind == "equality",
-            "want a word-boundary violation, got {f}"
-        );
-    }
-
-    #[test]
-    fn word_boundary_bug_needs_a_second_word() {
-        // The mutation targets bits 63/64/65; a 5-vertex universe never
-        // reaches them, so the planted bug is a no-op and the sweep must
-        // stay clean — pinning that the self-test really is about the
-        // word seam, not generic corruption.
-        let g = from_edge_list(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let cfg = cfg("mis-baseline@cpu");
-        check_case(&g, &cfg, 7, 2, Mutation::BitsetWordBoundary).unwrap();
     }
 
     #[test]

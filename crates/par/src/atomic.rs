@@ -212,7 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_bitset() {
+    fn bitset_empty() {
         let bs = AtomicBitSet::new(0);
         assert!(bs.is_empty());
         assert_eq!(bs.count_ones(), 0);

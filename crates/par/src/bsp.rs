@@ -75,19 +75,6 @@ impl BspExecutor {
         items.par_iter().for_each(|&i| body(i));
     }
 
-    /// Launch a kernel over an [`ActiveSet`](crate::frontier::ActiveSet)
-    /// live set — the generic form of [`BspExecutor::kernel_over`] shared
-    /// by the worklist and bitset frontier families. Work accounting is the
-    /// member count, exactly as with an explicit worklist.
-    pub fn kernel_over_set<W, F>(&self, set: &W, body: F)
-    where
-        W: crate::frontier::ActiveSet,
-        F: Fn(u32) + Sync + Send,
-    {
-        self.counters.add_kernel(set.len() as u64);
-        set.for_each(body);
-    }
-
     /// Launch a counting-reduction kernel: number of `i in 0..n` with `pred(i)`.
     pub fn count<F>(&self, n: usize, pred: F) -> usize
     where

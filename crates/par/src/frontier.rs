@@ -8,7 +8,7 @@
 //! it between rounds, so each round's sweeps touch only still-live
 //! vertices or edges.
 //!
-//! Two pieces live here:
+//! Three pieces live here:
 //!
 //! * [`Frontier`] — a ping-pong pair of index buffers plus a reusable
 //!   per-block count buffer. [`Frontier::compact`] filters the current
@@ -16,6 +16,8 @@
 //!   flag–scan–scatter pipeline as [`crate::prim::compact_indices`], then
 //!   swaps the buffers; no allocation happens once the buffers have grown
 //!   to their high-water mark (round 1).
+//! * [`ByteMarks`] — a per-index mark byte array that kernels set and read
+//!   concurrently (GM's dirty marks, Luby's marked candidates).
 //! * [`Scratch`] — a typed buffer arena. Solvers borrow per-call working
 //!   arrays (`degree`, `marked`, `proposal`, FORBIDDEN offsets, …) from it
 //!   instead of `vec![0; n]`-ing fresh ones, and give them back when done.
@@ -28,9 +30,8 @@
 
 use rayon::prelude::*;
 
-use crate::atomic::as_atomic_u64;
 use crate::prim::BLOCK;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Frontier/arena observability (DESIGN.md §12). Every series here is
@@ -213,97 +214,41 @@ impl Frontier {
         std::mem::swap(&mut self.cur, &mut self.spare);
     }
 
+    /// Parallel sweep over the live items.
+    pub fn for_each<F>(&self, f: F)
+    where
+        F: Fn(u32) + Sync + Send,
+    {
+        self.cur.par_iter().for_each(|&v| f(v));
+    }
+
+    /// `dst := {v in self : pred(v)}`, order-stable, reusing `dst`'s
+    /// buffers.
+    pub fn select_into<F>(&self, pred: F, dst: &mut Frontier)
+    where
+        F: Fn(u32) -> bool + Sync + Send,
+    {
+        compact_active_with(&self.cur, pred, &mut dst.cur, &mut dst.counts);
+    }
+
+    /// `dst := self ∩ marks` — the conflict/winner-mask step.
+    pub fn select_marked_into(&self, marks: &ByteMarks, dst: &mut Frontier) {
+        self.select_into(|v| marks.get(v), dst);
+    }
+
     /// Capacity currently held across both buffers (for reuse accounting).
     fn capacity(&self) -> usize {
         self.cur.capacity() + self.spare.capacity()
     }
 }
 
-/// A per-vertex (or per-edge) mark array shared across a parallel sweep.
+/// A per-vertex (or per-edge) mark array shared across a parallel sweep,
+/// one byte per index.
 ///
 /// Solvers write marks from inside kernels (`put`) and read them from
-/// neighbors (`get`); the representation is the frontier family's choice:
-/// one byte per index for the worklist family, one *bit* per index for the
-/// bitset family — which is what lets [`BitFrontier::select_marked_into`]
-/// intersect live set and marks with word-level AND instead of a
-/// per-member predicate sweep.
-pub trait MarkSet: Sync + Send {
-    /// Set or clear index `i`'s mark (atomic; racing distinct indices is fine).
-    fn put(&self, i: u32, val: bool);
-    /// Read index `i`'s mark.
-    fn get(&self, i: u32) -> bool;
-}
-
-/// The round-loop live-set contract every frontier-form solver is written
-/// against.
-///
-/// [`Frontier`] implements it as the existing order-stable worklist (the
-/// `Compact` mode — same code, now monomorphized through this trait), and
-/// [`BitFrontier`] implements it over u64 bitset words (the `Bitset`
-/// mode). Both iterate members in increasing index order wherever order is
-/// observable (`for_each_seq`), which is why the two modes stay
-/// byte-identical: every worklist the solvers build is sorted ascending.
-pub trait ActiveSet: Send + Sized {
-    /// The mark representation paired with this live-set representation.
-    type Marks: MarkSet;
-
-    /// Borrow an empty set from the arena.
-    fn take(scratch: &mut Scratch) -> Self;
-
-    /// Return the set (with its grown buffers) to the arena.
-    fn recycle(self, scratch: &mut Scratch);
-
-    /// Borrow a mark array covering `0..n`, every mark set to `fill`.
-    fn take_marks(scratch: &mut Scratch, n: usize, fill: bool) -> Self::Marks;
-
-    /// Return a mark array to the arena.
-    fn recycle_marks(marks: Self::Marks, scratch: &mut Scratch);
-
-    /// Rebuild as `{i in 0..n : keep(i)}`, in increasing order.
-    fn reset_range<F>(&mut self, n: usize, keep: F)
-    where
-        F: Fn(u32) -> bool + Sync + Send;
-
-    /// Rebuild from an explicit member list drawn from `0..universe`.
-    fn reset_from(&mut self, items: &[u32], universe: usize);
-
-    /// Number of live members.
-    fn len(&self) -> usize;
-
-    /// Whether no member is live.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every member failing `keep` (the per-round compaction).
-    fn retain<F>(&mut self, keep: F)
-    where
-        F: Fn(u32) -> bool + Sync + Send;
-
-    /// Parallel sweep over the members.
-    fn for_each<F>(&self, f: F)
-    where
-        F: Fn(u32) + Sync + Send;
-
-    /// Sequential sweep over the members in increasing order.
-    fn for_each_seq<F>(&self, f: F)
-    where
-        F: FnMut(u32);
-
-    /// `dst := {v in self : pred(v)}`.
-    fn select_into<F>(&self, pred: F, dst: &mut Self)
-    where
-        F: Fn(u32) -> bool + Sync + Send;
-
-    /// `dst := self ∩ marks` — the conflict/winner-mask step. The bitset
-    /// family computes this with one AND per live word.
-    fn select_marked_into(&self, marks: &Self::Marks, dst: &mut Self);
-}
-
-/// One mark byte per index — the [`Frontier`] family's [`MarkSet`].
-///
-/// Backed by an arena `Vec<u8>`; accesses go through `AtomicU8` views of
-/// the same memory (the `crate::atomic` cast idiom), so kernels may mark
+/// neighbors (`get`). Backed by an arena `Vec<u8>` (see
+/// [`Scratch::take_marks`]); accesses go through `AtomicU8` views of the
+/// same memory (the `crate::atomic` cast idiom), so kernels may mark
 /// concurrently.
 pub struct ByteMarks {
     buf: Vec<u8>,
@@ -317,388 +262,15 @@ impl ByteMarks {
         debug_assert!((i as usize) < self.buf.len());
         unsafe { &*(self.buf.as_ptr().add(i as usize) as *const AtomicU8) }
     }
-}
 
-impl MarkSet for ByteMarks {
-    fn put(&self, i: u32, val: bool) {
+    /// Set or clear index `i`'s mark (atomic; racing distinct indices is fine).
+    pub fn put(&self, i: u32, val: bool) {
         self.at(i).store(val as u8, Ordering::Relaxed);
     }
 
-    fn get(&self, i: u32) -> bool {
+    /// Read index `i`'s mark.
+    pub fn get(&self, i: u32) -> bool {
         self.at(i).load(Ordering::Relaxed) != 0
-    }
-}
-
-/// One mark bit per index — the [`BitFrontier`] family's [`MarkSet`].
-///
-/// Marks are set/cleared with atomic OR/ANDNOT on the containing word, and
-/// whole words are exposed to [`BitFrontier::select_marked_into`] so the
-/// live∩marked intersection is a word-level AND.
-pub struct WordMarks {
-    words: Vec<u64>,
-}
-
-impl WordMarks {
-    fn at(&self, w: usize) -> &AtomicU64 {
-        // SAFETY: same layout-compatible atomic view as `ByteMarks::at`.
-        debug_assert!(w < self.words.len());
-        unsafe { &*(self.words.as_ptr().add(w) as *const AtomicU64) }
-    }
-
-    /// The whole mark word covering indices `64w..64w+64`.
-    pub fn word(&self, w: usize) -> u64 {
-        self.at(w).load(Ordering::Relaxed)
-    }
-}
-
-impl MarkSet for WordMarks {
-    fn put(&self, i: u32, val: bool) {
-        let bit = 1u64 << (i & 63);
-        let w = self.at(i as usize >> 6);
-        if val {
-            w.fetch_or(bit, Ordering::Relaxed);
-        } else {
-            w.fetch_and(!bit, Ordering::Relaxed);
-        }
-    }
-
-    fn get(&self, i: u32) -> bool {
-        self.word(i as usize >> 6) >> (i & 63) & 1 != 0
-    }
-}
-
-impl ActiveSet for Frontier {
-    type Marks = ByteMarks;
-
-    fn take(scratch: &mut Scratch) -> Frontier {
-        scratch.take_frontier()
-    }
-
-    fn recycle(self, scratch: &mut Scratch) {
-        scratch.recycle_frontier(self);
-    }
-
-    fn take_marks(scratch: &mut Scratch, n: usize, fill: bool) -> ByteMarks {
-        ByteMarks {
-            buf: scratch.take_u8(n, fill as u8),
-        }
-    }
-
-    fn recycle_marks(marks: ByteMarks, scratch: &mut Scratch) {
-        scratch.recycle_u8(marks.buf);
-    }
-
-    fn reset_range<F>(&mut self, n: usize, keep: F)
-    where
-        F: Fn(u32) -> bool + Sync + Send,
-    {
-        Frontier::reset_range(self, n, keep);
-    }
-
-    fn reset_from(&mut self, items: &[u32], _universe: usize) {
-        Frontier::reset_from(self, items);
-    }
-
-    fn len(&self) -> usize {
-        Frontier::len(self)
-    }
-
-    fn retain<F>(&mut self, keep: F)
-    where
-        F: Fn(u32) -> bool + Sync + Send,
-    {
-        self.compact(keep);
-    }
-
-    fn for_each<F>(&self, f: F)
-    where
-        F: Fn(u32) + Sync + Send,
-    {
-        self.cur.par_iter().for_each(|&v| f(v));
-    }
-
-    fn for_each_seq<F>(&self, mut f: F)
-    where
-        F: FnMut(u32),
-    {
-        for &v in &self.cur {
-            f(v);
-        }
-    }
-
-    fn select_into<F>(&self, pred: F, dst: &mut Frontier)
-    where
-        F: Fn(u32) -> bool + Sync + Send,
-    {
-        compact_active_with(&self.cur, pred, &mut dst.cur, &mut dst.counts);
-    }
-
-    fn select_marked_into(&self, marks: &ByteMarks, dst: &mut Frontier) {
-        compact_active_with(&self.cur, |v| marks.get(v), &mut dst.cur, &mut dst.counts);
-    }
-}
-
-/// A u64-bitset live set: bit `i & 63` of `words[i >> 6]` says whether
-/// index `i` is live.
-///
-/// The invariant `words[w] != 0  ⇔  w ∈ live` is maintained by every
-/// operation, and `live` (the sorted nonzero-word index list) is what the
-/// per-round compaction emits — word-index runs, 64× shorter than the
-/// member list — so sweeps skip dead regions at word granularity while
-/// iteration inside a word is a trailing-zeros loop. Members always come
-/// out in increasing index order, matching the sorted worklists of the
-/// [`Frontier`] family.
-#[derive(Debug, Default)]
-pub struct BitFrontier {
-    words: Vec<u64>,
-    live: Vec<u32>,
-    spare: Vec<u32>,
-    len: usize,
-}
-
-/// Visit the set bits of `bits` (word index `w`) as global indices.
-#[inline]
-fn for_bits(w: u32, mut bits: u64, f: &mut impl FnMut(u32)) {
-    let base = w * 64;
-    while bits != 0 {
-        f(base + bits.trailing_zeros());
-        bits &= bits - 1;
-    }
-}
-
-impl BitFrontier {
-    /// Empty bitset frontier with no capacity.
-    pub fn new() -> BitFrontier {
-        BitFrontier::default()
-    }
-
-    /// Current members, materialized in increasing order (test/debug aid;
-    /// the solvers never materialize).
-    pub fn to_vec(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.len);
-        self.for_each_seq(|v| out.push(v));
-        out
-    }
-
-    /// Resize the word array for a universe of `n` indices, zeroing it.
-    fn reset_words(&mut self, n: usize) {
-        let nw = n.div_ceil(64);
-        if self.words.len() == nw {
-            // Clearing only the live words beats a full memset once the
-            // set is sparse.
-            for &w in &self.live {
-                self.words[w as usize] = 0;
-            }
-        } else {
-            self.words.clear();
-            self.words.resize(nw, 0);
-        }
-        self.live.clear();
-        self.len = 0;
-    }
-
-    /// Rebuild `live` and `len` from the word array (sequential: the word
-    /// array is 64× smaller than the universe).
-    fn rebuild_live(&mut self) {
-        self.spare.clear();
-        let words = &self.words;
-        self.spare
-            .extend((0..words.len() as u32).filter(|&w| words[w as usize] != 0));
-        std::mem::swap(&mut self.live, &mut self.spare);
-        self.len = self
-            .live
-            .iter()
-            .map(|&w| self.words[w as usize].count_ones() as usize)
-            .sum();
-    }
-
-    /// Drop dead word indices from `live` (order-stable) and recount.
-    fn compact_live(&mut self) {
-        self.spare.clear();
-        let words = &self.words;
-        self.spare.extend(
-            self.live
-                .iter()
-                .copied()
-                .filter(|&w| words[w as usize] != 0),
-        );
-        std::mem::swap(&mut self.live, &mut self.spare);
-        self.len = self
-            .live
-            .iter()
-            .map(|&w| self.words[w as usize].count_ones() as usize)
-            .sum();
-    }
-
-    /// Capacity currently held (for arena reuse accounting).
-    fn capacity(&self) -> usize {
-        self.words.capacity() + self.live.capacity() + self.spare.capacity()
-    }
-}
-
-impl ActiveSet for BitFrontier {
-    type Marks = WordMarks;
-
-    fn take(scratch: &mut Scratch) -> BitFrontier {
-        scratch.take_bit_frontier()
-    }
-
-    fn recycle(self, scratch: &mut Scratch) {
-        scratch.recycle_bit_frontier(self);
-    }
-
-    fn take_marks(scratch: &mut Scratch, n: usize, fill: bool) -> WordMarks {
-        WordMarks {
-            words: scratch.take_u64(n.div_ceil(64), if fill { !0 } else { 0 }),
-        }
-    }
-
-    fn recycle_marks(marks: WordMarks, scratch: &mut Scratch) {
-        scratch.recycle_u64(marks.words);
-    }
-
-    fn reset_range<F>(&mut self, n: usize, keep: F)
-    where
-        F: Fn(u32) -> bool + Sync + Send,
-    {
-        let m = metrics();
-        m.compactions.inc();
-        m.items_scanned.add(n as u64);
-        self.reset_words(n);
-        self.words.par_iter_mut().enumerate().for_each(|(w, word)| {
-            let lo = w * 64;
-            let hi = n.min(lo + 64);
-            let mut bits = 0u64;
-            for i in lo..hi {
-                if keep(i as u32) {
-                    bits |= 1 << (i - lo);
-                }
-            }
-            *word = bits;
-        });
-        self.rebuild_live();
-    }
-
-    fn reset_from(&mut self, items: &[u32], universe: usize) {
-        self.reset_words(universe);
-        for &i in items {
-            self.words[i as usize >> 6] |= 1 << (i & 63);
-        }
-        self.rebuild_live();
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn retain<F>(&mut self, keep: F)
-    where
-        F: Fn(u32) -> bool + Sync + Send,
-    {
-        let m = metrics();
-        m.compactions.inc();
-        m.items_scanned.add(self.len as u64);
-        let words = as_atomic_u64(&mut self.words);
-        self.live.par_iter().for_each(|&w| {
-            let old = words[w as usize].load(Ordering::Relaxed);
-            let mut kept = 0u64;
-            for_bits(w, old, &mut |i| {
-                if keep(i) {
-                    kept |= 1 << (i & 63);
-                }
-            });
-            if kept != old {
-                words[w as usize].store(kept, Ordering::Relaxed);
-            }
-        });
-        self.compact_live();
-    }
-
-    fn for_each<F>(&self, f: F)
-    where
-        F: Fn(u32) + Sync + Send,
-    {
-        let words = &self.words;
-        self.live
-            .par_iter()
-            .for_each(|&w| for_bits(w, words[w as usize], &mut |i| f(i)));
-    }
-
-    fn for_each_seq<F>(&self, mut f: F)
-    where
-        F: FnMut(u32),
-    {
-        for &w in &self.live {
-            for_bits(w, self.words[w as usize], &mut f);
-        }
-    }
-
-    fn select_into<F>(&self, pred: F, dst: &mut BitFrontier)
-    where
-        F: Fn(u32) -> bool + Sync + Send,
-    {
-        let m = metrics();
-        m.compactions.inc();
-        m.items_scanned.add(self.len as u64);
-        dst.reset_words(self.words.len() * 64);
-        let src = &self.words;
-        let out = as_atomic_u64(&mut dst.words);
-        self.live.par_iter().for_each(|&w| {
-            let mut kept = 0u64;
-            for_bits(w, src[w as usize], &mut |i| {
-                if pred(i) {
-                    kept |= 1 << (i & 63);
-                }
-            });
-            if kept != 0 {
-                out[w as usize].store(kept, Ordering::Relaxed);
-            }
-        });
-        // Only words live in `self` can be live in `dst`.
-        dst.spare.clear();
-        let words = &dst.words;
-        dst.spare.extend(
-            self.live
-                .iter()
-                .copied()
-                .filter(|&w| words[w as usize] != 0),
-        );
-        std::mem::swap(&mut dst.live, &mut dst.spare);
-        dst.len = dst
-            .live
-            .iter()
-            .map(|&w| dst.words[w as usize].count_ones() as usize)
-            .sum();
-    }
-
-    fn select_marked_into(&self, marks: &WordMarks, dst: &mut BitFrontier) {
-        let m = metrics();
-        m.compactions.inc();
-        m.items_scanned.add(self.len as u64);
-        dst.reset_words(self.words.len() * 64);
-        let src = &self.words;
-        let out = as_atomic_u64(&mut dst.words);
-        // The whole point: live ∩ marked is one AND per live word.
-        self.live.par_iter().for_each(|&w| {
-            let kept = src[w as usize] & marks.word(w as usize);
-            if kept != 0 {
-                out[w as usize].store(kept, Ordering::Relaxed);
-            }
-        });
-        dst.spare.clear();
-        let words = &dst.words;
-        dst.spare.extend(
-            self.live
-                .iter()
-                .copied()
-                .filter(|&w| words[w as usize] != 0),
-        );
-        std::mem::swap(&mut dst.live, &mut dst.spare);
-        dst.len = dst
-            .live
-            .iter()
-            .map(|&w| dst.words[w as usize].count_ones() as usize)
-            .sum();
     }
 }
 
@@ -723,10 +295,8 @@ pub struct ScratchStats {
 pub struct Scratch {
     u8s: Vec<Vec<u8>>,
     u32s: Vec<Vec<u32>>,
-    u64s: Vec<Vec<u64>>,
     usizes: Vec<Vec<usize>>,
     frontiers: Vec<Frontier>,
-    bit_frontiers: Vec<BitFrontier>,
     fresh_allocs: u64,
     reuses: u64,
 }
@@ -780,17 +350,6 @@ impl Scratch {
         )
     }
 
-    /// Borrow a `u64` buffer of length `n`, every entry set to `fill`.
-    pub fn take_u64(&mut self, n: usize, fill: u64) -> Vec<u64> {
-        take_buf(
-            &mut self.u64s,
-            n,
-            fill,
-            &mut self.fresh_allocs,
-            &mut self.reuses,
-        )
-    }
-
     /// Borrow a `usize` buffer of length `n`, every entry set to `fill`.
     pub fn take_usize(&mut self, n: usize, fill: usize) -> Vec<usize> {
         take_buf(
@@ -823,26 +382,11 @@ impl Scratch {
         }
     }
 
-    /// Borrow an empty [`BitFrontier`] (its buffers keep the capacity they
-    /// had when recycled).
-    pub fn take_bit_frontier(&mut self) -> BitFrontier {
-        match self.bit_frontiers.pop() {
-            Some(mut f) => {
-                if f.capacity() > 0 {
-                    self.reuses += 1;
-                } else {
-                    self.fresh_allocs += 1;
-                }
-                f.words.clear();
-                f.live.clear();
-                f.spare.clear();
-                f.len = 0;
-                f
-            }
-            None => {
-                self.fresh_allocs += 1;
-                BitFrontier::new()
-            }
+    /// Borrow a mark array covering `0..n`, every mark set to `fill`
+    /// (backed by the arena's `u8` pool).
+    pub fn take_marks(&mut self, n: usize, fill: bool) -> ByteMarks {
+        ByteMarks {
+            buf: self.take_u8(n, fill as u8),
         }
     }
 
@@ -851,14 +395,9 @@ impl Scratch {
         self.u8s.push(b);
     }
 
-    /// Return a `u64` buffer to the pool.
-    pub fn recycle_u64(&mut self, b: Vec<u64>) {
-        self.u64s.push(b);
-    }
-
-    /// Return a bitset frontier (with its grown buffers) to the pool.
-    pub fn recycle_bit_frontier(&mut self, f: BitFrontier) {
-        self.bit_frontiers.push(f);
+    /// Return a mark array to the pool.
+    pub fn recycle_marks(&mut self, marks: ByteMarks) {
+        self.u8s.push(marks.buf);
     }
 
     /// Return a `u32` buffer to the pool.
@@ -998,100 +537,6 @@ mod tests {
         let b = s.take_u8(10_000, 1); // does not fit: fresh allocation
         assert_eq!(b.len(), 10_000);
         assert_eq!(s.stats().fresh_allocs, 2);
-    }
-
-    #[test]
-    fn bit_frontier_matches_worklist_ops() {
-        // Drive a Frontier and a BitFrontier through the same op sequence
-        // and require identical member lists at every step — across word
-        // boundaries (universe deliberately not a multiple of 64).
-        let n = 64 * 3 + 7;
-        let mut s = Scratch::new();
-        let mut wl: Frontier = ActiveSet::take(&mut s);
-        let mut bs: BitFrontier = ActiveSet::take(&mut s);
-        ActiveSet::reset_range(&mut wl, n, |i| i % 3 != 0);
-        ActiveSet::reset_range(&mut bs, n, |i| i % 3 != 0);
-        assert_eq!(bs.to_vec(), wl.as_slice());
-        assert_eq!(ActiveSet::len(&bs), ActiveSet::len(&wl));
-        for round in 2..6u32 {
-            ActiveSet::retain(&mut wl, move |i| i % round != 1);
-            ActiveSet::retain(&mut bs, move |i| i % round != 1);
-            assert_eq!(bs.to_vec(), wl.as_slice(), "round {round}");
-            assert_eq!(ActiveSet::len(&bs), ActiveSet::len(&wl));
-        }
-        let mut seq = Vec::new();
-        bs.for_each_seq(|v| seq.push(v));
-        assert_eq!(seq, wl.as_slice(), "sequential order must be ascending");
-    }
-
-    #[test]
-    fn bit_frontier_word_boundaries() {
-        // The classic off-by-one sites: bits 63, 64, 65 live in different
-        // words; membership, retain, and select must all agree there.
-        let mut bs = BitFrontier::new();
-        bs.reset_from(&[63, 64, 65], 130);
-        assert_eq!(bs.to_vec(), vec![63, 64, 65]);
-        assert_eq!(ActiveSet::len(&bs), 3);
-        ActiveSet::retain(&mut bs, |i| i != 64);
-        assert_eq!(bs.to_vec(), vec![63, 65]);
-        let mut dst = BitFrontier::new();
-        bs.select_into(|i| i == 65, &mut dst);
-        assert_eq!(dst.to_vec(), vec![65]);
-        ActiveSet::retain(&mut bs, |_| false);
-        assert!(ActiveSet::is_empty(&bs));
-    }
-
-    #[test]
-    fn bit_frontier_select_marked_is_word_and() {
-        let n = 200;
-        let mut s = Scratch::new();
-        let mut bs: BitFrontier = ActiveSet::take(&mut s);
-        ActiveSet::reset_range(&mut bs, n, |i| i % 2 == 0);
-        let marks = BitFrontier::take_marks(&mut s, n, false);
-        for i in [0u32, 62, 63, 64, 65, 127, 128, 198] {
-            marks.put(i, true);
-        }
-        marks.put(64, false); // exercise the clear path too
-        let mut dst: BitFrontier = ActiveSet::take(&mut s);
-        bs.select_marked_into(&marks, &mut dst);
-        assert_eq!(dst.to_vec(), vec![0, 62, 128, 198]);
-        // Reusing dst for a second selection must fully replace it.
-        marks.put(2, true);
-        bs.select_marked_into(&marks, &mut dst);
-        assert_eq!(dst.to_vec(), vec![0, 2, 62, 128, 198]);
-    }
-
-    #[test]
-    fn word_marks_roundtrip_against_byte_marks() {
-        let mut s = Scratch::new();
-        let wm = BitFrontier::take_marks(&mut s, 150, true);
-        let bm = Frontier::take_marks(&mut s, 150, true);
-        for i in 0..150u32 {
-            assert_eq!(wm.get(i), bm.get(i), "fill mismatch at {i}");
-        }
-        for i in [0u32, 1, 63, 64, 65, 100, 149] {
-            wm.put(i, false);
-            bm.put(i, false);
-        }
-        wm.put(64, true);
-        bm.put(64, true);
-        for i in 0..150u32 {
-            assert_eq!(wm.get(i), bm.get(i), "mark mismatch at {i}");
-        }
-    }
-
-    #[test]
-    fn scratch_bit_frontier_roundtrip() {
-        let mut s = Scratch::new();
-        let mut f = s.take_bit_frontier();
-        ActiveSet::reset_range(&mut f, 1000, |_| true);
-        s.recycle_bit_frontier(f);
-        let f2 = s.take_bit_frontier();
-        assert!(ActiveSet::is_empty(&f2), "recycled bitset comes back empty");
-        assert!(f2.capacity() > 0, "but keeps its capacity");
-        let st = s.stats();
-        assert_eq!(st.fresh_allocs, 1);
-        assert_eq!(st.reuses, 1);
     }
 
     #[test]

@@ -35,6 +35,3 @@ pub use bsp::BspExecutor;
 pub use counters::{Counters, PhaseGuard, RoundScope};
 pub use exec::{current_threads, with_threads};
 pub use frontier::{compact_active, compact_range, Frontier, Scratch, ScratchStats};
-// Re-exported so downstream crates (and the integration tests) can pin the
-// pool's claim discipline without depending on the rayon shim directly.
-pub use rayon::{schedule_strategy, set_schedule_strategy, ScheduleStrategy};

@@ -6,9 +6,10 @@
 //! `par_iter`, `into_par_iter`, `par_sort_unstable`, `ThreadPoolBuilder`,
 //! `install`, … — on top of a real execution engine (the private `pool`
 //! module): a lazily-initialized global worker pool on `std::thread`, chunked
-//! parallel-for with per-thread chunk claiming through an atomic index,
-//! early-exit cancellation for `find_any`, order-respecting parallel
-//! `map`/`collect`, and a parallel merge sort behind `par_sort_unstable`.
+//! parallel-for with work-stealing chunk claiming (per-thread deques,
+//! steal-half rebalancing), early-exit cancellation for `find_any`,
+//! order-respecting parallel `map`/`collect`, and a parallel merge sort
+//! behind `par_sort_unstable`.
 //!
 //! Results are interleaving-independent by construction: order-sensitive
 //! consumers reassemble per-piece results in base order, and the solvers
@@ -23,8 +24,6 @@
 pub mod iter;
 mod pool;
 mod sort;
-
-pub use pool::{schedule_strategy, set_schedule_strategy, ScheduleStrategy};
 
 /// The traits user code imports with `use rayon::prelude::*`.
 pub mod prelude {
@@ -430,31 +429,20 @@ mod tests {
     }
 
     #[test]
-    fn both_schedule_strategies_cover_every_item_once() {
-        // The strategy knob is process-global, so this test only asserts
-        // properties that hold under either strategy for concurrently
-        // running tests: here, exactly-once execution and correct sums.
+    fn parallel_calls_cover_every_item_once() {
         let pool = quad_pool();
-        let before = super::schedule_strategy();
-        for strat in [
-            super::ScheduleStrategy::GlobalCounter,
-            super::ScheduleStrategy::Stealing,
-        ] {
-            super::set_schedule_strategy(strat);
-            pool.install(|| {
-                let cells: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
-                cells.par_iter().for_each(|c| {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-                assert!(
-                    cells.iter().all(|c| c.load(Ordering::Relaxed) == 1),
-                    "{strat:?} missed or repeated items"
-                );
-                let s: u64 = (0..N as u64).into_par_iter().sum();
-                assert_eq!(s, (N as u64 - 1) * N as u64 / 2, "{strat:?}");
+        pool.install(|| {
+            let cells: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+            cells.par_iter().for_each(|c| {
+                c.fetch_add(1, Ordering::Relaxed);
             });
-        }
-        super::set_schedule_strategy(before);
+            assert!(
+                cells.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                "missed or repeated items"
+            );
+            let s: u64 = (0..N as u64).into_par_iter().sum();
+            assert_eq!(s, (N as u64 - 1) * N as u64 / 2);
+        });
     }
 
     #[test]

@@ -8,17 +8,13 @@
 //!   host's available parallelism); explicit pools come from
 //!   [`crate::ThreadPoolBuilder`].
 //! * A parallel call splits its work into **pieces** and publishes one job to
-//!   the pool. Workers and the caller all run the same claim loop. Two
-//!   claim disciplines exist, selected by [`ScheduleStrategy`]:
-//!   - **Stealing** (the default): each participant owns a bounded deque — a
-//!     contiguous piece range packed into one `AtomicU64` — pops chunks from
-//!     its own bottom, and steals the top half of a victim's range when its
-//!     own deque runs dry. Chunk size starts coarse and halves under
-//!     observed steal pressure, so uniform workloads pay near-zero claim
-//!     traffic while skewed workloads rebalance (see DESIGN.md §14).
-//!   - **GlobalCounter**: the original single `AtomicUsize` claim counter,
-//!     kept runtime-selectable (`SBREAK_POOL_STRATEGY=counter`) as the A/B
-//!     baseline for `ablate_threads`.
+//!   the pool. Workers and the caller all run the same work-stealing claim
+//!   loop: each participant owns a bounded deque — a contiguous piece range
+//!   packed into one `AtomicU64` — pops chunks from its own bottom, and
+//!   steals the top half of a victim's range when its own deque runs dry.
+//!   Chunk size starts coarse and halves under observed steal pressure, so
+//!   uniform workloads pay near-zero claim traffic while skewed workloads
+//!   rebalance (see DESIGN.md §14).
 //! * The **caller always runs the claim loop itself**, so every parallel call
 //!   makes progress even if all workers are busy elsewhere — the pool only
 //!   ever accelerates, it can never deadlock a caller.
@@ -32,7 +28,7 @@
 //!   observable behavior as rayon.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -59,7 +55,7 @@ struct PoolMetrics {
     /// claim counter themselves, microseconds.
     caller_wait_us: sb_metrics::Counter,
     /// Successful steals: a participant took the top half of a victim's
-    /// piece range (stealing strategy only).
+    /// piece range.
     steals: sb_metrics::Counter,
     /// Steal attempts that lost the CAS race or found the victim drained
     /// between the scan and the attempt.
@@ -91,86 +87,6 @@ fn metrics() -> &'static PoolMetrics {
     })
 }
 
-/// How a parallel call's pieces are claimed by the pool's participants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleStrategy {
-    /// Per-participant bounded deques with steal-half rebalancing and an
-    /// adaptive chunk size (the default).
-    Stealing,
-    /// The original single global `AtomicUsize` claim counter — the A/B
-    /// baseline for the stealing scheduler.
-    GlobalCounter,
-}
-
-/// Current strategy, encoded: 0 = unresolved, 1 = Stealing, 2 = GlobalCounter.
-static STRATEGY: AtomicU8 = AtomicU8::new(0);
-
-/// The strategy governing parallel calls right now. Resolved once from
-/// `SBREAK_POOL_STRATEGY` (`stealing` | `counter`) on first use, default
-/// `Stealing`; overridable at runtime with [`set_schedule_strategy`].
-pub fn schedule_strategy() -> ScheduleStrategy {
-    match STRATEGY.load(Ordering::Relaxed) {
-        1 => ScheduleStrategy::Stealing,
-        2 => ScheduleStrategy::GlobalCounter,
-        _ => {
-            let resolved = match std::env::var("SBREAK_POOL_STRATEGY").as_deref() {
-                Ok("counter") | Ok("global-counter") => ScheduleStrategy::GlobalCounter,
-                _ => ScheduleStrategy::Stealing,
-            };
-            set_schedule_strategy(resolved);
-            resolved
-        }
-    }
-}
-
-/// Select the claim discipline for subsequent parallel calls (process-wide;
-/// in-flight calls finish under the strategy they started with).
-pub fn set_schedule_strategy(s: ScheduleStrategy) {
-    let code = match s {
-        ScheduleStrategy::Stealing => 1,
-        ScheduleStrategy::GlobalCounter => 2,
-    };
-    STRATEGY.store(code, Ordering::Relaxed);
-}
-
-/// A claim discipline distributes piece indices `0..pieces` over the
-/// participants of one parallel call. Every participant (caller + worker
-/// copies) calls [`claim`](ClaimDiscipline::claim) exactly once; each piece
-/// index must be handed to `run_piece` exactly once across all participants.
-/// `run_piece` returns `false` when the call is poisoned and the loop should
-/// drain without executing further pieces.
-trait ClaimDiscipline: Sync {
-    fn claim(&self, run_piece: &(dyn Fn(usize) -> bool + Sync));
-}
-
-/// The original discipline: one global fetch-add counter. Two atomic ops
-/// per claim, but every claim contends on one cache line.
-struct CounterClaim {
-    next: AtomicUsize,
-    pieces: usize,
-}
-
-impl ClaimDiscipline for CounterClaim {
-    fn claim(&self, run_piece: &(dyn Fn(usize) -> bool + Sync)) {
-        // One batched metrics update per runner copy, not per piece:
-        // the claim loop itself must stay two atomic ops long.
-        let mut claimed = 0u64;
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.pieces {
-                break;
-            }
-            claimed += 1;
-            if !run_piece(i) {
-                break;
-            }
-        }
-        if claimed > 0 {
-            metrics().pieces_claimed.add(claimed);
-        }
-    }
-}
-
 /// Pack a half-open piece range `[lo, hi)` into one `AtomicU64` word so a
 /// pop or steal is a single compare-exchange — no Chase–Lev ABA concerns,
 /// because the whole deque state moves atomically.
@@ -184,15 +100,19 @@ fn unpack(word: u64) -> (u32, u32) {
     (word as u32, (word >> 32) as u32)
 }
 
-/// The stealing discipline (DESIGN.md §14): each participant owns one
-/// bounded deque — a contiguous range of piece indices in a packed
-/// `AtomicU64`. Owners pop adaptive-size chunks from the bottom (`lo`);
-/// when dry, they scan the other slots and steal the **top half** of a
-/// victim's range (`hi` side), depositing the stolen range into their own
-/// empty slot. The chunk size starts coarse (half a slot's initial share)
-/// and halves per observed steal, floor 1: uniform workloads touch their
-/// own cache line a handful of times, skewed workloads decay to fine-grained
-/// rebalancing.
+/// The pool's claim discipline (DESIGN.md §14). Every participant of one
+/// parallel call (caller + worker copies) calls [`StealClaim::claim`]
+/// once, and each piece index in `0..pieces` is handed to exactly one of
+/// them.
+///
+/// Each participant owns one bounded deque — a contiguous range of piece
+/// indices in a packed `AtomicU64`. Owners pop adaptive-size chunks from
+/// the bottom (`lo`); when dry, they scan the other slots and steal the
+/// **top half** of a victim's range (`hi` side), depositing the stolen
+/// range into their own empty slot. The chunk size starts coarse (half a
+/// slot's initial share) and halves per observed steal, floor 1: uniform
+/// workloads touch their own cache line a handful of times, skewed
+/// workloads decay to fine-grained rebalancing.
 struct StealClaim {
     /// One packed `[lo, hi)` range per slot. Invariant: a slot is written
     /// by arbitrary thieves via CAS, but *stored* (non-CAS) only by its
@@ -235,9 +155,10 @@ impl StealClaim {
         let pressure = self.steals.load(Ordering::Relaxed).min(6) as u32;
         (self.initial_chunk >> pressure).max(1)
     }
-}
 
-impl ClaimDiscipline for StealClaim {
+    /// Run this participant's claim loop. `run_piece` returns `false` when
+    /// the call is poisoned and the loop should drain without executing
+    /// further pieces.
     fn claim(&self, run_piece: &(dyn Fn(usize) -> bool + Sync)) {
         let slots = self.deques.len();
         let me = self.joined.fetch_add(1, Ordering::Relaxed) % slots;
@@ -319,13 +240,8 @@ impl ClaimDiscipline for StealClaim {
     }
 }
 
-/// Pieces-per-thread oversubscription factor under the global-counter
-/// discipline: enough pieces that dynamic claiming can balance skew, few
-/// enough that claim overhead is noise.
-const PIECES_PER_THREAD: usize = 4;
-
-/// Pieces-per-thread under the stealing discipline: the per-owner deques
-/// make claims nearly free (uniform loads pop a handful of coarse chunks),
+/// Pieces-per-thread oversubscription factor: the per-owner deques make
+/// claims nearly free (uniform loads pop a handful of coarse chunks),
 /// so we can afford a finer split that gives steal-half rebalancing real
 /// granularity on skewed workloads.
 const STEAL_PIECES_PER_THREAD: usize = 16;
@@ -446,41 +362,20 @@ impl PoolCore {
 
     /// Run `pieces` work items: `piece_fn(i)` for every `i in 0..pieces`,
     /// claimed dynamically by the caller and up to `num_threads - 1`
-    /// workers under the current [`ScheduleStrategy`]. Returns when every
-    /// piece has finished. Re-throws the first piece panic on the calling
-    /// thread.
+    /// workers. Returns when every piece has finished. Re-throws the first
+    /// piece panic on the calling thread.
     pub(crate) fn run(self: &Arc<Self>, pieces: usize, piece_fn: &(dyn Fn(usize) + Sync)) {
         if pieces == 0 {
             return;
         }
-        match schedule_strategy() {
-            ScheduleStrategy::GlobalCounter => self.run_with(
-                pieces,
-                piece_fn,
-                &CounterClaim {
-                    next: AtomicUsize::new(0),
-                    pieces,
-                },
-            ),
-            ScheduleStrategy::Stealing => {
-                self.run_with(pieces, piece_fn, &StealClaim::new(pieces, self.num_threads))
-            }
-        }
-    }
-
-    fn run_with(
-        self: &Arc<Self>,
-        pieces: usize,
-        piece_fn: &(dyn Fn(usize) + Sync),
-        discipline: &dyn ClaimDiscipline,
-    ) {
         metrics().par_calls.inc();
+        let claim = StealClaim::new(pieces, self.num_threads);
         let poisoned = AtomicBool::new(false);
         let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        // Shared piece executor: claimed by whichever discipline is active.
-        // Returns false once the call is poisoned, telling the discipline's
-        // claim loop to drain fast. Keeps the engine alive through piece
-        // panics: record the first payload, re-throw it on the caller.
+        // Shared piece executor. Returns false once the call is poisoned,
+        // telling the claim loop to drain fast. Keeps the engine alive
+        // through piece panics: record the first payload, re-throw it on
+        // the caller.
         let run_piece = |i: usize| -> bool {
             if poisoned.load(Ordering::Relaxed) {
                 return false;
@@ -496,7 +391,7 @@ impl PoolCore {
             }
             true
         };
-        let runner = || discipline.claim(&run_piece);
+        let runner = || claim.claim(&run_piece);
 
         let copies = (self.num_threads - 1).min(pieces.saturating_sub(1));
         let job = if copies > 0 {
@@ -622,11 +517,7 @@ pub(crate) fn piece_count(work_items: usize) -> usize {
     if threads <= 1 || work_items < SEQ_THRESHOLD {
         return 1;
     }
-    let per_thread = match schedule_strategy() {
-        ScheduleStrategy::Stealing => STEAL_PIECES_PER_THREAD,
-        ScheduleStrategy::GlobalCounter => PIECES_PER_THREAD,
-    };
-    (threads * per_thread).min(work_items)
+    (threads * STEAL_PIECES_PER_THREAD).min(work_items)
 }
 
 /// Guard that pushes a pool as this thread's current for a scope.
@@ -677,9 +568,9 @@ impl Drop for PoolHandle {
 mod tests {
     use super::*;
 
-    /// Drive a discipline with `participants` scoped threads and return how
+    /// Drive a claim with `participants` scoped threads and return how
     /// many times each piece index was handed out.
-    fn drive(d: &dyn ClaimDiscipline, pieces: usize, participants: usize) -> Vec<usize> {
+    fn drive(d: &StealClaim, pieces: usize, participants: usize) -> Vec<usize> {
         let counts: Vec<AtomicUsize> = (0..pieces).map(|_| AtomicUsize::new(0)).collect();
         let run_piece = |i: usize| -> bool {
             counts[i].fetch_add(1, Ordering::Relaxed);
@@ -691,21 +582,6 @@ mod tests {
             }
         });
         counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-
-    #[test]
-    fn counter_claim_hands_out_each_piece_exactly_once() {
-        for (pieces, parts) in [(1, 1), (7, 3), (64, 4), (1000, 8)] {
-            let d = CounterClaim {
-                next: AtomicUsize::new(0),
-                pieces,
-            };
-            let counts = drive(&d, pieces, parts);
-            assert!(
-                counts.iter().all(|&c| c == 1),
-                "pieces={pieces} parts={parts}: {counts:?}"
-            );
-        }
     }
 
     #[test]
@@ -798,16 +674,5 @@ mod tests {
         for (lo, hi) in [(0u32, 0u32), (0, 1), (17, 4096), (u32::MAX - 1, u32::MAX)] {
             assert_eq!(unpack(pack(lo, hi)), (lo, hi));
         }
-    }
-
-    #[test]
-    fn strategy_env_and_setter_resolve() {
-        // The setter wins over whatever the env resolved to; restore after.
-        let before = schedule_strategy();
-        set_schedule_strategy(ScheduleStrategy::GlobalCounter);
-        assert_eq!(schedule_strategy(), ScheduleStrategy::GlobalCounter);
-        set_schedule_strategy(ScheduleStrategy::Stealing);
-        assert_eq!(schedule_strategy(), ScheduleStrategy::Stealing);
-        set_schedule_strategy(before);
     }
 }

@@ -53,12 +53,11 @@
 //! rayon layer runs a real worker pool); the default is the host's
 //! available parallelism.
 //!
-//! `--frontier dense|compact|bitset` (on `solve`) picks the round-loop live-set
+//! `--frontier dense|compact` (on `solve`) picks the round-loop live-set
 //! strategy: `compact` (the default) iterates compacted worklists of
-//! still-undecided vertices, `dense` rescans `0..n` every round (the
-//! pre-frontier behavior, kept for A/B comparison), and `bitset` keeps the
-//! live set as u64 bitset words iterated by trailing zeros — byte-identical
-//! results to `compact` at lower memory traffic.
+//! still-undecided vertices, and `dense` rescans `0..n` every round (the
+//! paper-era behavior, kept as the reference the fuzz oracle compares
+//! against).
 //!
 //! `serve` runs the resident multi-tenant solve daemon: JSONL requests
 //! over TCP against one shared cached-decomposition engine (DESIGN.md
@@ -87,7 +86,7 @@ fn usage() -> ! {
          sbreak stats <input> [--bridges] [--blocks] [--scale F] [--seed S]\n  \
          sbreak decompose <input> --method bridge|rand:K|degk:K|metis:K|bicc [--seed S] [--trace <out.jsonl>]\n  \
          sbreak solve <input> --problem mm|color|mis [--algo baseline|bridge|rand:K|degk:K|bicc]\n  \
-         \x20            [--arch cpu|gpu] [--frontier dense|compact|bitset] [--seed S] [--threads N]\n  \
+         \x20            [--arch cpu|gpu] [--frontier dense|compact] [--seed S] [--threads N]\n  \
          \x20            [-o <file>] [--trace <out.jsonl>]\n  \
          sbreak fuzz [--seed S] [--budget-secs T] [--max-cases K] [--threads N]\n  \
          \x20           [-o <dir>] [--replay <case.txt>]\n  \
@@ -1077,10 +1076,15 @@ mod tests {
         assert_eq!(f.frontier, FrontierMode::Compact, "compact is the default");
         let d = parse_flags(&["--frontier".into(), "dense".into()]).unwrap();
         assert_eq!(d.frontier, FrontierMode::Dense);
-        assert!(
-            parse_flags(&["--frontier".into(), "sparse".into()]).is_err(),
-            "unknown frontier mode must be rejected"
-        );
+        for removed in ["sparse", "bitset"] {
+            let e = parse_flags(&["--frontier".into(), removed.into()]).err();
+            assert_eq!(
+                e,
+                Some(format!(
+                    "frontier mode must be dense or compact, got '{removed}'"
+                ))
+            );
+        }
         assert!(
             parse_flags(&["--threads".into(), "0".into()]).is_err(),
             "zero threads must be rejected"

@@ -141,14 +141,7 @@ fn ablation_baselines_verifier_clean_at_every_width() {
                 .unwrap_or_else(|e| panic!("greedy MIS @ {t} threads: {e}"));
 
             let mut st = vec![status::UNDECIDED; cycle.num_vertices()];
-            oriented_mis_extend(
-                &cycle,
-                EdgeView::full(),
-                &mut st,
-                None,
-                &Counters::new(),
-                FrontierMode::default(),
-            );
+            oriented_mis_extend(&cycle, EdgeView::full(), &mut st, None, &Counters::new());
             let in_set: Vec<bool> = st.iter().map(|&s| s == status::IN).collect();
             check_maximal_independent_set(&cycle, &in_set)
                 .unwrap_or_else(|e| panic!("oriented MIS @ {t} threads: {e}"));

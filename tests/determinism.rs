@@ -9,9 +9,7 @@
 //! the N used (CI runs 1 and 4).
 
 use symmetry_breaking::core::coloring::jp::jp_color;
-use symmetry_breaking::par::{
-    schedule_strategy, set_schedule_strategy, with_threads, ScheduleStrategy,
-};
+use symmetry_breaking::par::with_threads;
 use symmetry_breaking::prelude::*;
 
 fn graph() -> Graph {
@@ -197,8 +195,6 @@ fn productive_round_counts_frontier_mode_invariant() {
             (FrontierMode::Dense, n),
             (FrontierMode::Compact, 1),
             (FrontierMode::Compact, n),
-            (FrontierMode::Bitset, 1),
-            (FrontierMode::Bitset, n),
         ] {
             assert_eq!(
                 dense,
@@ -210,55 +206,44 @@ fn productive_round_counts_frontier_mode_invariant() {
 }
 
 #[test]
-fn solver_output_invariant_under_both_claim_strategies() {
+fn solver_output_pool_width_invariant_in_both_modes() {
     let opts = SolveOpts::default();
-    // The pool's claim discipline (work-stealing deques vs the global
-    // counter baseline) redistributes pieces across workers, never the
-    // decisions made inside them: solver output must be identical at any
-    // width under either scheduler, in every frontier mode. This is the
-    // determinism pin the stealing scheduler ships behind.
+    // The pool's work stealing redistributes pieces across workers, never
+    // the decisions made inside them: solver output must be identical at
+    // any width, in every frontier mode.
     let g = graph();
     let n = wide();
-    let before = schedule_strategy();
 
     let reference = maximal_independent_set(&g, Algo::Baseline, None, Arch::Cpu, 4, &opts).in_set;
-    for strat in [ScheduleStrategy::Stealing, ScheduleStrategy::GlobalCounter] {
-        set_schedule_strategy(strat);
-        for mode in [
-            FrontierMode::Dense,
-            FrontierMode::Compact,
-            FrontierMode::Bitset,
-        ] {
-            let solve = |threads| {
-                with_threads(threads, || {
-                    maximal_independent_set(
-                        &g,
-                        Algo::Baseline,
-                        None,
-                        Arch::Cpu,
-                        4,
-                        &SolveOpts::with_mode(mode),
-                    )
-                    .in_set
-                })
-            };
-            let one = solve(1);
-            let many = solve(n);
-            assert_eq!(one, many, "{strat:?}/{mode}: 1 vs {n} threads differ");
-            assert_eq!(
-                one, reference,
-                "{strat:?}/{mode} diverged from the default-strategy output"
-            );
-        }
-        let one = with_threads(1, || {
-            maximal_matching(&g, Algo::Degk { k: 2 }, None, Arch::Cpu, 4, &opts).mate
-        });
-        let many = with_threads(n, || {
-            maximal_matching(&g, Algo::Degk { k: 2 }, None, Arch::Cpu, 4, &opts).mate
-        });
-        assert_eq!(one, many, "{strat:?}: GM/degk 1 vs {n} threads differ");
+    for mode in [FrontierMode::Dense, FrontierMode::Compact] {
+        let solve = |threads| {
+            with_threads(threads, || {
+                maximal_independent_set(
+                    &g,
+                    Algo::Baseline,
+                    None,
+                    Arch::Cpu,
+                    4,
+                    &SolveOpts::with_mode(mode),
+                )
+                .in_set
+            })
+        };
+        let one = solve(1);
+        let many = solve(n);
+        assert_eq!(one, many, "{mode}: 1 vs {n} threads differ");
+        assert_eq!(
+            one, reference,
+            "{mode} diverged from the default-mode output"
+        );
     }
-    set_schedule_strategy(before);
+    let one = with_threads(1, || {
+        maximal_matching(&g, Algo::Degk { k: 2 }, None, Arch::Cpu, 4, &opts).mate
+    });
+    let many = with_threads(n, || {
+        maximal_matching(&g, Algo::Degk { k: 2 }, None, Arch::Cpu, 4, &opts).mate
+    });
+    assert_eq!(one, many, "GM/degk 1 vs {n} threads differ");
 }
 
 #[test]

@@ -1,22 +1,19 @@
 //! Frontier-compaction equivalence: the compacted-worklist solvers
-//! (`FrontierMode::Compact`, the default) and the u64-bitset solvers
-//! (`FrontierMode::Bitset`) must produce byte-identical assignments to
-//! the dense full-sweep forms wherever that identity is documented, while
-//! scanning strictly fewer edges — and the scratch arena must stop
-//! allocating after the first solve on it.
+//! (`FrontierMode::Compact`, the default) must produce byte-identical
+//! assignments to the dense full-sweep forms wherever that identity is
+//! documented, while scanning strictly fewer edges.
 //!
-//! The byte-identity pins run at 1 and `wide()` threads for each of the
-//! three modes; below them, a randomized property test drives the
-//! `ActiveSet` trait directly, checking `BitFrontier` (and the worklist
-//! `Frontier`) against a plain boolean-array model over seeded op
-//! sequences whose universes straddle the u64 word boundaries.
+//! The byte-identity pins run at 1 and `wide()` threads in both modes;
+//! below them, a randomized property test drives the worklist `Frontier`
+//! directly against a plain boolean-array model over seeded op sequences
+//! whose sizes straddle the one-block seam where compaction switches from
+//! a sequential filter to the parallel count-and-scatter.
 //!
 //! VB coloring is the documented exception: its speculative
 //! color-then-fix loop is interleaving-dependent, so cross-mode
 //! identity is only pinned at one thread; wider pools assert validity.
 
 use std::sync::Arc;
-use symmetry_breaking::par::frontier::{ActiveSet, BitFrontier, MarkSet};
 use symmetry_breaking::par::with_threads;
 use symmetry_breaking::prelude::*;
 use symmetry_breaking::trace::{TraceEvent, TraceSink};
@@ -54,14 +51,9 @@ fn gm_matching_frontier_byte_identical_to_dense() {
             ] {
                 let dense = mm(&g, algo, Arch::Cpu, FrontierMode::Dense).mate;
                 let compact = mm(&g, algo, Arch::Cpu, FrontierMode::Compact).mate;
-                let bitset = mm(&g, algo, Arch::Cpu, FrontierMode::Bitset).mate;
                 assert_eq!(
                     dense, compact,
                     "{algo:?} dense/compact diverged at {threads} threads"
-                );
-                assert_eq!(
-                    compact, bitset,
-                    "{algo:?} compact/bitset diverged at {threads} threads"
                 );
                 check_maximal_matching(&g, &compact).unwrap();
             }
@@ -78,14 +70,9 @@ fn lmax_matching_frontier_byte_identical_to_dense_on_full_view() {
         with_threads(threads, || {
             let dense = mm(&g, Algo::Baseline, Arch::GpuSim, FrontierMode::Dense).mate;
             let compact = mm(&g, Algo::Baseline, Arch::GpuSim, FrontierMode::Compact).mate;
-            let bitset = mm(&g, Algo::Baseline, Arch::GpuSim, FrontierMode::Bitset).mate;
             assert_eq!(
                 dense, compact,
                 "LMAX dense/compact diverged at {threads} threads"
-            );
-            assert_eq!(
-                compact, bitset,
-                "LMAX compact/bitset diverged at {threads} threads"
             );
             check_maximal_matching(&g, &compact).unwrap();
         });
@@ -105,14 +92,9 @@ fn lmax_matching_frontier_byte_identical_to_dense_on_masked_views() {
             for algo in [Algo::Rand { partitions: 5 }, Algo::Degk { k: 2 }] {
                 let dense = mm(&g, algo, Arch::GpuSim, FrontierMode::Dense).mate;
                 let compact = mm(&g, algo, Arch::GpuSim, FrontierMode::Compact).mate;
-                let bitset = mm(&g, algo, Arch::GpuSim, FrontierMode::Bitset).mate;
                 assert_eq!(
                     dense, compact,
                     "{algo:?} on gpu-sim dense/compact diverged at {threads} threads"
-                );
-                assert_eq!(
-                    compact, bitset,
-                    "{algo:?} on gpu-sim compact/bitset diverged at {threads} threads"
                 );
                 check_maximal_matching(&g, &compact).unwrap();
             }
@@ -129,14 +111,9 @@ fn luby_mis_frontier_byte_identical_to_dense() {
                 for algo in [Algo::Baseline, Algo::Rand { partitions: 5 }] {
                     let dense = mis(&g, algo, arch, FrontierMode::Dense).in_set;
                     let compact = mis(&g, algo, arch, FrontierMode::Compact).in_set;
-                    let bitset = mis(&g, algo, arch, FrontierMode::Bitset).in_set;
                     assert_eq!(
                         dense, compact,
                         "{algo:?}/{arch} dense/compact diverged at {threads} threads"
-                    );
-                    assert_eq!(
-                        compact, bitset,
-                        "{algo:?}/{arch} compact/bitset diverged at {threads} threads"
                     );
                     check_maximal_independent_set(&g, &compact).unwrap();
                 }
@@ -167,24 +144,10 @@ fn vb_coloring_frontier_identical_at_one_thread_valid_at_many() {
             &SolveOpts::with_mode(FrontierMode::Compact),
         )
         .color;
-        let bitset = vertex_coloring(
-            &g,
-            Algo::Baseline,
-            None,
-            Arch::Cpu,
-            7,
-            &SolveOpts::with_mode(FrontierMode::Bitset),
-        )
-        .color;
         assert_eq!(dense, compact, "VB dense/compact diverged at 1 thread");
-        assert_eq!(compact, bitset, "VB compact/bitset diverged at 1 thread");
     });
     with_threads(wide(), || {
-        for mode in [
-            FrontierMode::Dense,
-            FrontierMode::Compact,
-            FrontierMode::Bitset,
-        ] {
+        for mode in [FrontierMode::Dense, FrontierMode::Compact] {
             let run = vertex_coloring(
                 &g,
                 Algo::Baseline,
@@ -200,38 +163,22 @@ fn vb_coloring_frontier_identical_at_one_thread_valid_at_many() {
 
 #[test]
 fn compact_mode_scans_fewer_edges() {
-    // Compact must beat dense outright; bitset holds the same member sets
-    // as compact, so its logical edge work must not exceed compact's.
     let g = graph();
     let dense = mm(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Dense);
     let compact = mm(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Compact);
-    let bitset = mm(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Bitset);
     assert!(
         compact.stats.counters.edges_scanned < dense.stats.counters.edges_scanned,
         "GM compact scanned {} edges, dense {}",
         compact.stats.counters.edges_scanned,
         dense.stats.counters.edges_scanned,
     );
-    assert!(
-        bitset.stats.counters.edges_scanned <= compact.stats.counters.edges_scanned,
-        "GM bitset scanned {} edges, compact {}",
-        bitset.stats.counters.edges_scanned,
-        compact.stats.counters.edges_scanned,
-    );
     let dense = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Dense);
     let compact = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Compact);
-    let bitset = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Bitset);
     assert!(
         compact.stats.counters.edges_scanned < dense.stats.counters.edges_scanned,
         "Luby compact scanned {} edges, dense {}",
         compact.stats.counters.edges_scanned,
         dense.stats.counters.edges_scanned,
-    );
-    assert!(
-        bitset.stats.counters.edges_scanned <= compact.stats.counters.edges_scanned,
-        "Luby bitset scanned {} edges, compact {}",
-        bitset.stats.counters.edges_scanned,
-        compact.stats.counters.edges_scanned,
     );
 }
 
@@ -285,7 +232,7 @@ fn runstats_carry_the_scratch_arena_snapshot() {
     let _ = dense.stats.scratch.reuses;
 }
 
-// ---- randomized ActiveSet equivalence against a boolean-array model ----
+// ---- randomized Frontier equivalence against a boolean-array model ----
 
 /// splitmix64 finalizer: the property tests' only randomness source, so
 /// every run (and every failure) replays from `(n, seed)` alone.
@@ -313,7 +260,7 @@ fn op_of(seed: u64, round: u64) -> u64 {
 }
 
 /// Replay the op sequence against a plain boolean array: the ground truth
-/// every `ActiveSet` implementation must reproduce member-for-member.
+/// the `Frontier` must reproduce member-for-member.
 fn model_ops(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
     let mut active: Vec<bool> = (0..n as u32).map(|i| keep(seed, u64::MAX, i)).collect();
     let mut log = Vec::new();
@@ -340,37 +287,31 @@ fn model_ops(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
     log
 }
 
-/// Drive one `ActiveSet` implementation through the same seeded sequence,
-/// rotating over every shrink op the trait offers (`retain`,
-/// `select_into`, `select_marked_into`, `reset_from`), and log the member
-/// list observed via `for_each_seq` before each op.
-fn drive_ops<W: ActiveSet>(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
+/// Drive a `Frontier` through the same seeded sequence, rotating over
+/// every shrink op the kernels use (`compact`, `select_into`,
+/// `select_marked_into`, `reset_from`), and log its member list before each
+/// op.
+fn drive_ops(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
     let mut scratch = Scratch::new();
-    let mut cur = W::take(&mut scratch);
-    let mut aux = W::take(&mut scratch);
+    let mut cur = scratch.take_frontier();
+    let mut aux = scratch.take_frontier();
     let mut log = Vec::new();
     cur.reset_range(n, move |i| keep(seed, u64::MAX, i));
     for round in 0..rounds {
-        let mut members = Vec::new();
-        cur.for_each_seq(|v| members.push(v));
-        assert_eq!(
-            members.len(),
-            cur.len(),
-            "len() disagrees with the members for_each_seq visits"
-        );
+        let members = cur.as_slice().to_vec();
         let done = cur.is_empty();
         log.push(members.clone());
         if done {
             break;
         }
         match op_of(seed, round) {
-            0 => cur.retain(move |i| keep(seed, round, i)),
+            0 => cur.compact(move |i| keep(seed, round, i)),
             1 => {
                 cur.select_into(move |i| keep(seed, round, i), &mut aux);
                 std::mem::swap(&mut cur, &mut aux);
             }
             2 => {
-                let marks = W::take_marks(&mut scratch, n, false);
+                let marks = scratch.take_marks(n, false);
                 for i in 0..n as u32 {
                     if marked(seed, round, i) {
                         marks.put(i, true);
@@ -378,45 +319,42 @@ fn drive_ops<W: ActiveSet>(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
                 }
                 cur.select_marked_into(&marks, &mut aux);
                 std::mem::swap(&mut cur, &mut aux);
-                W::recycle_marks(marks, &mut scratch);
+                scratch.recycle_marks(marks);
             }
             _ => {
                 let survivors: Vec<u32> = members
                     .into_iter()
                     .filter(|&i| keep(seed, round, i))
                     .collect();
-                cur.reset_from(&survivors, n);
+                cur.reset_from(&survivors);
             }
         }
     }
-    cur.recycle(&mut scratch);
-    aux.recycle(&mut scratch);
+    scratch.recycle_frontier(cur);
+    scratch.recycle_frontier(aux);
     log
 }
 
 #[test]
-fn bitset_and_worklist_frontiers_match_the_boolean_array_model() {
-    // Universe sizes straddle the u64 word boundaries (63/64/65, 127/128/
-    // 129) where bitset masking bugs live, plus a multi-word tail. Each
-    // (n, seed) pair replays a full op sequence; the parallel ops run under
-    // both pool widths so word-level races would also surface.
+fn worklist_frontier_matches_the_boolean_array_model() {
+    // Compaction filters sequentially up to one 2^14-item block and runs
+    // the two-pass parallel count-and-scatter above it, so sizes straddle
+    // that seam (16383/16384/16385) and a two-block tail (32769), next to
+    // small and empty sets. Each (n, seed) pair replays a full op
+    // sequence, under both pool widths.
     const ROUNDS: u64 = 12;
     for threads in [1, wide()] {
         with_threads(threads, || {
-            for &n in &[0usize, 1, 5, 63, 64, 65, 127, 128, 129, 1000] {
+            for &n in &[
+                0usize, 1, 5, 63, 64, 65, 127, 128, 129, 1000, 16383, 16384, 16385, 32769,
+            ] {
                 for salt in 0..3u64 {
                     let seed = mix(n as u64 ^ salt.wrapping_mul(0x0005_DEEC_E66D));
                     let expect = model_ops(n, seed, ROUNDS);
-                    let bits = drive_ops::<BitFrontier>(n, seed, ROUNDS);
-                    assert_eq!(
-                        bits, expect,
-                        "BitFrontier diverged from the boolean-array model \
-                         (n={n}, seed={seed:#x}, {threads} threads)"
-                    );
-                    let list = drive_ops::<Frontier>(n, seed, ROUNDS);
+                    let list = drive_ops(n, seed, ROUNDS);
                     assert_eq!(
                         list, expect,
-                        "worklist Frontier diverged from the boolean-array model \
+                        "Frontier diverged from the boolean-array model \
                          (n={n}, seed={seed:#x}, {threads} threads)"
                     );
                 }

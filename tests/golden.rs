@@ -299,11 +299,7 @@ fn solution_digests_and_counters_are_pinned() {
         let g = generate(id, Scale::Tiny, 42);
         for &solver in &solvers {
             for arch in [Arch::Cpu, Arch::GpuSim] {
-                for mode in [
-                    FrontierMode::Dense,
-                    FrontierMode::Compact,
-                    FrontierMode::Bitset,
-                ] {
+                for mode in [FrontierMode::Dense, FrontierMode::Compact] {
                     let opts = SolveOpts::with_mode(mode);
                     let (solution, stats) =
                         sb_par::exec::with_threads(1, || solve(&g, solver, None, arch, 7, &opts));

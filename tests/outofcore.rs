@@ -153,11 +153,7 @@ fn mapped_solver_outputs_are_byte_identical_to_heap() {
     assert!(mapped.mapped_ident().is_some() || std::env::var_os("SBREAK_NO_MMAP").is_some());
 
     for threads in [1usize, 4] {
-        for mode in [
-            FrontierMode::Dense,
-            FrontierMode::Compact,
-            FrontierMode::Bitset,
-        ] {
+        for mode in [FrontierMode::Dense, FrontierMode::Compact] {
             let opts = SolveOpts::with_mode(mode);
             symmetry_breaking::par::exec::with_threads(threads, || {
                 let a = maximal_matching(&heap, Algo::Baseline, None, Arch::Cpu, 3, &opts);

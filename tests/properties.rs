@@ -190,7 +190,7 @@ proptest! {
             JpOrdering::LargestDegreeFirst,
             JpOrdering::SmallestDegreeLast,
         ] {
-            let c = jp_color_ordered(&g, ordering, seed, &Counters::new(), FrontierMode::default());
+            let c = jp_color_ordered(&g, ordering, seed, &Counters::new());
             check_coloring(&g, &c)
                 .map_err(|e| TestCaseError::fail(format!("{ordering:?}: {e}")))?;
         }
@@ -220,7 +220,7 @@ proptest! {
         let d = decompose_degk(&g, 2, &Counters::new());
         let low_side: Vec<bool> = d.is_high.iter().map(|&h| !h).collect();
         let mut st = vec![0u8; g.num_vertices()];
-        oriented_mis_extend(&g, d.low_view(), &mut st, Some(&low_side), &Counters::new(), FrontierMode::default());
+        oriented_mis_extend(&g, d.low_view(), &mut st, Some(&low_side), &Counters::new());
         let in_set: Vec<bool> = st.iter().map(|&s| s == 1).collect();
         check_independent_set(&d.low_graph(&g), &in_set).unwrap();
         // Every low vertex must be decided.

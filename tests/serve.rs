@@ -411,6 +411,7 @@ fn malformed_lines_get_typed_errors_and_the_connection_survives() {
         r#"{"op":"quux"}"#,
         r#"{"op":"solve","graph":"gen:lp1","problem":"mm","algo":"bicc","bogus":1}"#,
         r#"{"op":"solve","id":"m1","graph":"gen:lp1","problem":"lp","algo":"bicc"}"#,
+        r#"{"op":"solve","graph":"gen:lp1","problem":"mm","algo":"bicc","frontier":"bitset"}"#,
     ] {
         let reply = client.request(bad).unwrap();
         assert_eq!(reply.status(), "error", "line {bad:?}: {:?}", reply.raw);
@@ -434,6 +435,50 @@ fn malformed_lines_get_typed_errors_and_the_connection_survives() {
     // And the connection still solves.
     let reply = client.solve(&params("mm", "bicc")).unwrap();
     assert_eq!(reply.status(), "ok", "{:?}", reply.raw);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn oversized_request_line_is_rejected_and_its_connection_closed() {
+    use std::io::{BufRead, BufReader, Write};
+    use symmetry_breaking::engine::protocol::Reply;
+    use symmetry_breaking::engine::serve::MAX_LINE_BYTES;
+
+    let server = spawn(1, 8, false);
+    let mut hog = std::net::TcpStream::connect(server.addr()).unwrap();
+    hog.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    // One byte past the cap and no newline: the server must answer without
+    // waiting for a line end that never comes.
+    hog.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+    let mut reader = BufReader::new(hog);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("a typed error within the read timeout");
+    let reply = Reply::parse(line.trim()).unwrap();
+    assert_eq!(reply.status(), "error", "{:?}", reply.raw);
+    assert_eq!(reply.str_field("code"), Some("bad_request"));
+    line.clear();
+    let n = reader
+        .read_line(&mut line)
+        .expect("EOF within the read timeout");
+    assert_eq!(n, 0, "the connection must be closed, got {line:?}");
+
+    // Other connections are unaffected, and the rejection was counted.
+    let mut other = Client::connect(server.addr()).unwrap();
+    assert_eq!(other.ping().unwrap().status(), "ok");
+    let stats = other.stats().unwrap();
+    assert_eq!(
+        stats
+            .raw
+            .get("requests")
+            .and_then(|r| r.get("bad_request"))
+            .and_then(|v| v.as_u64()),
+        Some(1)
+    );
 
     server.shutdown();
     server.join();
