@@ -287,15 +287,24 @@ fn model_ops(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
     log
 }
 
+/// Compaction's block size (`sb_par::prim::BLOCK`, crate-private there):
+/// inputs above it take the parallel count-and-scatter path.
+const BLOCK: usize = 1 << 14;
+
 /// Drive a `Frontier` through the same seeded sequence, rotating over
 /// every shrink op the kernels use (`compact`, `select_into`,
 /// `select_marked_into`, `reset_from`), and log its member list before each
-/// op.
-fn drive_ops(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
+/// op. Also returns one bit per op (`1 << op_of(..)`) that ran on more than
+/// one block of input.
+fn drive_ops(n: usize, seed: u64, rounds: u64) -> (Vec<Vec<u32>>, u8) {
     let mut scratch = Scratch::new();
     let mut cur = scratch.take_frontier();
     let mut aux = scratch.take_frontier();
+    // The selects' destination starts out holding a larger set, so every
+    // select writes into reused buffers and a reused per-block count array.
+    aux.reset_range(n, |_| true);
     let mut log = Vec::new();
+    let mut above_block = 0u8;
     cur.reset_range(n, move |i| keep(seed, u64::MAX, i));
     for round in 0..rounds {
         let members = cur.as_slice().to_vec();
@@ -304,7 +313,11 @@ fn drive_ops(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
         if done {
             break;
         }
-        match op_of(seed, round) {
+        let op = op_of(seed, round);
+        if cur.len() > BLOCK {
+            above_block |= 1 << op;
+        }
+        match op {
             0 => cur.compact(move |i| keep(seed, round, i)),
             1 => {
                 cur.select_into(move |i| keep(seed, round, i), &mut aux);
@@ -332,7 +345,7 @@ fn drive_ops(n: usize, seed: u64, rounds: u64) -> Vec<Vec<u32>> {
     }
     scratch.recycle_frontier(cur);
     scratch.recycle_frontier(aux);
-    log
+    (log, above_block)
 }
 
 #[test]
@@ -343,15 +356,17 @@ fn worklist_frontier_matches_the_boolean_array_model() {
     // small and empty sets. Each (n, seed) pair replays a full op
     // sequence, under both pool widths.
     const ROUNDS: u64 = 12;
+    let mut above_block = 0u8;
     for threads in [1, wide()] {
         with_threads(threads, || {
             for &n in &[
                 0usize, 1, 5, 63, 64, 65, 127, 128, 129, 1000, 16383, 16384, 16385, 32769,
             ] {
-                for salt in 0..3u64 {
+                for salt in 0..4u64 {
                     let seed = mix(n as u64 ^ salt.wrapping_mul(0x0005_DEEC_E66D));
                     let expect = model_ops(n, seed, ROUNDS);
-                    let list = drive_ops(n, seed, ROUNDS);
+                    let (list, ops) = drive_ops(n, seed, ROUNDS);
+                    above_block |= ops;
                     assert_eq!(
                         list, expect,
                         "Frontier diverged from the boolean-array model \
@@ -361,4 +376,11 @@ fn worklist_frontier_matches_the_boolean_array_model() {
             }
         });
     }
+    // Pin that the seam sizes really drive `compact`, `select_into` and
+    // `select_marked_into` (ops 0–2) through the parallel path.
+    assert_eq!(
+        above_block & 0b111,
+        0b111,
+        "ops run on more than one block: {above_block:#06b}"
+    );
 }
