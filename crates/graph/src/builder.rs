@@ -1,14 +1,22 @@
 //! Edge-list ingestion.
 //!
 //! Applies the paper's preprocessing (§II-D): directed edges are converted to
-//! undirected, self-loops are ignored, duplicates are merged. Construction is
-//! parallel: normalize + sort + dedup the edge list, then build both CSR
-//! directions with a histogram/scan/scatter pipeline.
+//! undirected, self-loops are ignored, duplicates are merged. Each edge is
+//! normalized to `(min, max)` on push; [`GraphBuilder::build`] drops
+//! self-loops, sorts the list by `(u, v)` in parallel — skipped when it
+//! already arrives sorted, as files written by
+//! [`write_edge_list`](crate::io::write_edge_list), overlay materialization
+//! and subgraph remapping do — and dedups it. The edge's rank in that list
+//! is its edge id.
+//!
+//! One sequential pass then counts degrees and a second scatters both arcs
+//! of every edge in edge order, which writes each row already sorted: row
+//! `x` first receives its lower neighbors `u < x`, from edges `(u, x)` in
+//! increasing `u`, all of which precede `x`'s own run; then its upper
+//! neighbors `v > x`, from the contiguous run `(x, v)` in increasing `v`.
 
 use crate::csr::{Graph, VertexId};
 use rayon::prelude::*;
-use sb_par::prim::exclusive_scan_vec;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Accumulates edges and produces a [`Graph`].
 #[derive(Debug, Clone, Default)]
@@ -79,66 +87,38 @@ impl GraphBuilder {
         let Self { n, mut edges } = self;
         // Normalize happened on push; drop self-loops, sort, dedup.
         edges.retain(|&[u, v]| u != v);
-        edges.par_sort_unstable();
+        if !edges.is_sorted() {
+            edges.par_sort_unstable();
+        }
         edges.dedup();
         let m = edges.len();
         assert!(m < u32::MAX as usize, "edge ids must fit in u32");
 
-        // Degree histogram over both arc directions.
-        let mut degrees = vec![0usize; n];
-        {
-            let deg = sb_par::atomic::as_atomic_usize(&mut degrees);
-            edges.par_iter().for_each(|&[u, v]| {
-                deg[u as usize].fetch_add(1, Ordering::Relaxed);
-                deg[v as usize].fetch_add(1, Ordering::Relaxed);
-            });
+        // Row starts: degree over both arc directions, then a prefix sum.
+        let mut offsets = vec![0usize; n + 1];
+        for &[u, v] in &edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        let (offsets, total) = exclusive_scan_vec(&degrees);
-        debug_assert_eq!(total, 2 * m);
+        for x in 0..n {
+            offsets[x + 1] += offsets[x];
+        }
 
-        // Scatter arcs. A per-vertex atomic cursor keeps this parallel.
+        // Scatter both arcs of each edge in edge order; every row fills
+        // in increasing neighbor order (see the module docs).
+        let mut cursor = offsets[..n].to_vec();
         let mut neighbors = vec![0u32; 2 * m];
         let mut edge_ids = vec![0u32; 2 * m];
-        {
-            let cursors: Vec<AtomicUsize> = offsets.iter().map(|&o| AtomicUsize::new(o)).collect();
-            // SAFETY: each slot index is claimed exactly once via the atomic
-            // cursor fetch_add, so no two threads write the same element.
-            let nb_ptr = SendPtr(neighbors.as_mut_ptr());
-            let ei_ptr = SendPtr(edge_ids.as_mut_ptr());
-            edges.par_iter().enumerate().for_each(|(e, &[u, v])| {
-                let su = cursors[u as usize].fetch_add(1, Ordering::Relaxed);
-                let sv = cursors[v as usize].fetch_add(1, Ordering::Relaxed);
-                unsafe {
-                    *nb_ptr.get().add(su) = v;
-                    *ei_ptr.get().add(su) = e as u32;
-                    *nb_ptr.get().add(sv) = u;
-                    *ei_ptr.get().add(sv) = e as u32;
-                }
-            });
+        for (e, &[u, v]) in edges.iter().enumerate() {
+            for (x, y) in [(u, v), (v, u)] {
+                let slot = &mut cursor[x as usize];
+                neighbors[*slot] = y;
+                edge_ids[*slot] = e as u32;
+                *slot += 1;
+            }
         }
 
-        // Sort each row by neighbor (keeping edge ids aligned) so adjacency
-        // queries can binary-search. Rows are disjoint → parallel per vertex.
-        let mut full_offsets = offsets;
-        full_offsets.push(2 * m);
-        {
-            let rows: Vec<(usize, usize)> = (0..n)
-                .map(|v| (full_offsets[v], full_offsets[v + 1]))
-                .collect();
-            let nb_ptr = SendPtr(neighbors.as_mut_ptr());
-            let ei_ptr = SendPtr(edge_ids.as_mut_ptr());
-            rows.par_iter().for_each(|&(lo, hi)| {
-                // SAFETY: row ranges [lo, hi) are pairwise disjoint.
-                let nb = unsafe { std::slice::from_raw_parts_mut(nb_ptr.get().add(lo), hi - lo) };
-                let ei = unsafe { std::slice::from_raw_parts_mut(ei_ptr.get().add(lo), hi - lo) };
-                // Co-sort the two small arrays by neighbor id.
-                let mut perm: Vec<u32> = (0..(hi - lo) as u32).collect();
-                perm.sort_unstable_by_key(|&i| nb[i as usize]);
-                apply_permutation(&perm, nb, ei);
-            });
-        }
-
-        let g = Graph::from_parts(full_offsets, neighbors, edge_ids, edges);
+        let g = Graph::from_parts(offsets, neighbors, edge_ids, edges);
         debug_assert!(g.validate().is_ok());
         g
     }
@@ -149,32 +129,10 @@ pub fn from_edge_list(n: usize, edges: &[(VertexId, VertexId)]) -> Graph {
     GraphBuilder::new(n).edges(edges.iter().copied()).build()
 }
 
-/// Apply permutation `perm` to both `a` and `b` in place (small rows, O(k) scratch).
-fn apply_permutation(perm: &[u32], a: &mut [u32], b: &mut [u32]) {
-    let ta: Vec<u32> = perm.iter().map(|&i| a[i as usize]).collect();
-    let tb: Vec<u32> = perm.iter().map(|&i| b[i as usize]).collect();
-    a.copy_from_slice(&ta);
-    b.copy_from_slice(&tb);
-}
-
-/// Raw pointer wrapper so disjoint-index parallel scatters can cross the
-/// closure boundary; soundness is argued at each use site. Access goes
-/// through [`SendPtr::get`] so edition-2021 closures capture the wrapper
-/// (which is `Sync`) rather than the raw pointer field (which is not).
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-impl<T> SendPtr<T> {
-    #[inline]
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn dedup_selfloop_symmetrize() {
@@ -239,5 +197,77 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    /// One vertex's `(neighbor, edge id)` pairs, by neighbor.
+    type Row = Vec<(u32, u32)>;
+
+    /// Reference CSR from a `BTreeSet` of normalized edges: the edge list in
+    /// `(u, v)` order with edge id = rank, and every vertex's row.
+    fn reference(n: usize, raw: &[(u32, u32)]) -> (Vec<[u32; 2]>, Vec<Row>) {
+        let set: std::collections::BTreeSet<[u32; 2]> = raw
+            .iter()
+            .filter(|&&(u, v)| u != v)
+            .map(|&(u, v)| [u.min(v), u.max(v)])
+            .collect();
+        let edges: Vec<[u32; 2]> = set.into_iter().collect();
+        let mut rows = vec![Vec::new(); n];
+        for (e, &[u, v]) in edges.iter().enumerate() {
+            rows[u as usize].push((v, e as u32));
+            rows[v as usize].push((u, e as u32));
+        }
+        for row in &mut rows {
+            row.sort_unstable();
+        }
+        (edges, rows)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+        #[test]
+        fn build_matches_btreeset_reference(
+            shape in (1usize..40).prop_flat_map(|n| (
+                n..n + 1,
+                proptest::collection::vec((0..n as u32, 0..n as u32, 0u8..4), 0..120),
+                (0usize..4, 0u64..1 << 32, 0u8..8),
+            ))
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::SeedableRng;
+            let (n, draws, (isolated, shuffle_seed, empty)) = shape;
+            // Duplicates in both orientations, self-loops and ids at n - 1;
+            // one case in eight is an empty list.
+            let mut raw = Vec::new();
+            for (u, v, kind) in draws {
+                match kind {
+                    0 => raw.push((u, v)),
+                    1 => raw.extend([(u, v), (v, u)]),
+                    2 => raw.push((u, u)),
+                    _ => raw.push((n as u32 - 1, v)),
+                }
+            }
+            if empty == 0 {
+                raw.clear();
+            }
+            // Trailing isolated vertices past every id in use.
+            let n = n + isolated;
+            let (edges, rows) = reference(n, &raw);
+            raw.sort_unstable_by_key(|&(u, v)| (u.min(v), u.max(v)));
+            let sorted = raw.clone();
+            let reversed: Vec<_> = raw.iter().rev().copied().collect();
+            raw.shuffle(&mut rand::rngs::StdRng::seed_from_u64(shuffle_seed));
+            for (order, input) in [("sorted", sorted), ("reversed", reversed), ("shuffled", raw)] {
+                let g = from_edge_list(n, &input);
+                prop_assert_eq!(g.num_vertices(), n, "{}", order);
+                prop_assert_eq!(g.edge_list(), &edges[..], "{}", order);
+                for v in g.vertices() {
+                    let want = &rows[v as usize];
+                    let nb: Vec<u32> = want.iter().map(|&(w, _)| w).collect();
+                    let ids: Vec<u32> = want.iter().map(|&(_, e)| e).collect();
+                    prop_assert_eq!(g.neighbors(v), &nb[..], "{} row {}", order, v);
+                    prop_assert_eq!(g.edge_ids_of(v), &ids[..], "{} row {}", order, v);
+                }
+            }
+        }
     }
 }

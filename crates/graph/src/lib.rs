@@ -7,8 +7,10 @@
 //!
 //! Submodules:
 //! * [`csr`] — the graph type itself and its accessors.
-//! * [`builder`] — edge-list ingestion: parallel sort, dedup, self-loop
-//!   removal, direction symmetrization (the paper's preprocessing).
+//! * [`builder`] — edge-list ingestion: direction symmetrization,
+//!   self-loop removal, a parallel sort (skipped when the list arrives
+//!   sorted) and dedup (the paper's preprocessing), then one sequential
+//!   CSR scatter whose rows come out sorted.
 //! * [`bfs`] — level-synchronous parallel BFS (Step 1 of BRIDGE).
 //! * [`components`] — parallel connected components.
 //! * [`subgraph`] — vertex- and edge-induced subgraph materialization with
