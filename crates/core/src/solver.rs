@@ -56,6 +56,15 @@ impl Problem {
             Problem::Mis => "mis",
         }
     }
+
+    /// Whether two runs of the same job on the same graph must produce
+    /// byte-identical solutions at pool width `threads`. Matching and MIS
+    /// are byte-stable at every width. A coloring is only at one thread:
+    /// VB's speculative conflict resolution is interleaving-dependent
+    /// (DESIGN.md §9), so at more any verified coloring is a valid answer.
+    pub fn byte_stable_at(self, threads: usize) -> bool {
+        self != Problem::Color || threads <= 1
+    }
 }
 
 impl FromStr for Problem {

@@ -642,6 +642,7 @@ mod tests {
             wall_ms: 0.2,
             fresh_wall_ms: None,
             solution: None,
+            fingerprint: None,
         };
         let line = mutate_response_json(
             solve_response_json("m1", &record, 0.1, false),
@@ -729,6 +730,7 @@ mod tests {
             wall_ms: 1.5,
             fresh_wall_ms: None,
             solution: Some(sb_core::Solution::Mate(vec![1, 0, 3, 2])),
+            fingerprint: None,
         };
         let reply = Reply::parse(&solve_response_json("r1", &record, 0.5, true)).unwrap();
         assert_eq!(reply.status(), "ok");

@@ -258,6 +258,7 @@ mod tests {
             wall_ms: wall,
             fresh_wall_ms: fresh,
             solution: None,
+            fingerprint: None,
         }
     }
 

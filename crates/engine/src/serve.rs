@@ -658,6 +658,7 @@ impl Shared {
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
             fresh_wall_ms: None,
             solution: Some(solution),
+            fingerprint: Some(out.fingerprint),
         };
         {
             let mut agg = lock(&self.latency);

@@ -147,29 +147,18 @@ pub fn check_case(
         check_valid(g, run)?;
     }
 
-    // 2. Byte-equality where the contract promises it.
-    match cfg.solver.problem {
-        Problem::Mm | Problem::Mis => {
-            for run in &runs[1..] {
-                if run.out != runs[0].out {
-                    return Err(Failure {
-                        kind: "equality",
-                        detail: format!("{} differs from {}", run.tag, runs[0].tag),
-                    });
-                }
-            }
-        }
-        Problem::Color => {
-            // VB's conflict-fix loop is interleaving-dependent, so the
-            // contract only promises cross-mode identity at one thread.
-            for run in runs.iter().filter(|r| r.threads == 1).skip(1) {
-                if run.out != runs[0].out {
-                    return Err(Failure {
-                        kind: "equality",
-                        detail: format!("{} differs from {}", run.tag, runs[0].tag),
-                    });
-                }
-            }
+    // 2. Byte-equality where the contract promises it. The first run is
+    // on one thread, where every problem is byte-stable.
+    let problem = cfg.solver.problem;
+    for run in runs[1..]
+        .iter()
+        .filter(|r| problem.byte_stable_at(r.threads))
+    {
+        if run.out != runs[0].out {
+            return Err(Failure {
+                kind: "equality",
+                detail: format!("{} differs from {}", run.tag, runs[0].tag),
+            });
         }
     }
 
