@@ -11,6 +11,7 @@ use sb_core::solver::Algo;
 use sb_datasets::suite::{generate, GraphId, Scale};
 use sb_graph::csr::INVALID;
 use sb_par::counters::Counters;
+use sb_par::frontier::Scratch;
 use std::hint::black_box;
 
 fn bench_coloring(c: &mut Criterion) {
@@ -66,6 +67,7 @@ fn bench_forbidden_window(c: &mut Criterion) {
                     w,
                     0,
                     &Counters::new(),
+                    &mut Scratch::new(),
                 );
                 black_box(color)
             })

@@ -3,7 +3,7 @@
 //! ablations from DESIGN.md §6.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sb_core::common::{Arch, SolveOpts};
+use sb_core::common::{Arch, FrontierMode, SolveOpts};
 use sb_core::matching::gm::{gm_extend, gm_random_extend};
 use sb_core::matching::ii::ii_extend;
 use sb_core::matching::maximal_matching;
@@ -11,6 +11,7 @@ use sb_core::solver::Algo;
 use sb_datasets::suite::{generate, GraphId, Scale};
 use sb_graph::csr::INVALID;
 use sb_par::counters::Counters;
+use sb_par::frontier::Scratch;
 use std::hint::black_box;
 
 fn bench_matching(c: &mut Criterion) {
@@ -62,6 +63,8 @@ fn bench_proposal_rules(c: &mut Criterion) {
                 &mut mate,
                 None,
                 &Counters::new(),
+                FrontierMode::Dense,
+                &mut Scratch::new(),
             );
             black_box(mate)
         })

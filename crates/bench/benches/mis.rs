@@ -3,7 +3,7 @@
 //! ablations from DESIGN.md §6.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sb_core::common::{Arch, SolveOpts};
+use sb_core::common::{Arch, FrontierMode, SolveOpts};
 use sb_core::mis::greedy::greedy_mis;
 use sb_core::mis::luby::{luby_extend, luby_extend_compacted};
 use sb_core::mis::maximal_independent_set;
@@ -11,6 +11,7 @@ use sb_core::mis::oriented::oriented_mis_extend;
 use sb_core::solver::Algo;
 use sb_datasets::suite::{generate, GraphId, Scale};
 use sb_par::counters::Counters;
+use sb_par::frontier::Scratch;
 use std::hint::black_box;
 
 fn bench_mis(c: &mut Criterion) {
@@ -73,6 +74,8 @@ fn bench_low_degree_solvers(c: &mut Criterion) {
                 Some(&low_side),
                 7,
                 &Counters::new(),
+                FrontierMode::Dense,
+                &mut Scratch::new(),
             );
             black_box(st)
         })
@@ -97,6 +100,8 @@ fn bench_baseline_engineering(c: &mut Criterion) {
                 None,
                 7,
                 &Counters::new(),
+                FrontierMode::Dense,
+                &mut Scratch::new(),
             );
             black_box(st)
         })

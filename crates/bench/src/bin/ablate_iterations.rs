@@ -7,13 +7,14 @@
 
 use sb_bench::harness::{load_suite, mm_rand_partitions, BenchConfig};
 use sb_bench::schemas;
-use sb_core::common::{Arch, SolveOpts};
+use sb_core::common::{Arch, FrontierMode, SolveOpts};
 use sb_core::matching::gm::{gm_extend, gm_random_extend};
 use sb_core::matching::maximal_matching;
 use sb_core::solver::Algo;
 use sb_core::verify::check_maximal_matching;
 use sb_graph::csr::INVALID;
 use sb_par::counters::Counters;
+use sb_par::frontier::Scratch;
 
 fn main() {
     let opts = SolveOpts::default();
@@ -54,7 +55,15 @@ fn main() {
         // Sanity anchor for the counters: re-derive GM rounds directly.
         let c2 = Counters::new();
         let mut mate2 = vec![INVALID; g.num_vertices()];
-        gm_extend(g, sb_graph::view::EdgeView::full(), &mut mate2, None, &c2);
+        gm_extend(
+            g,
+            sb_graph::view::EdgeView::full(),
+            &mut mate2,
+            None,
+            &c2,
+            FrontierMode::Dense,
+            &mut Scratch::new(),
+        );
         debug_assert_eq!(c2.rounds(), base.stats.counters.rounds);
 
         let ratio = base.stats.counters.rounds as f64 / rand.stats.counters.rounds.max(1) as f64;

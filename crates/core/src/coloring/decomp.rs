@@ -14,12 +14,12 @@ use sb_par::bsp::BspExecutor;
 use sb_par::counters::Counters;
 
 /// Color the vertices of `worklist` against the edges of `view`, with the
-/// architecture's baseline, drawing colors from `base` upward using a
-/// FORBIDDEN window of `window` entries (CPU/VB only; EB's window is its
-/// 32-bit mask). In `Dense` mode GPU phases over a filtered view
-/// materialize the piece first (streaming is cheap on-device; see
-/// `matching::base_extend`); in `Compact` mode both architectures run
-/// worklist-compacted solvers zero-copy against the masked view.
+/// architecture's baseline in the run's mode, drawing colors from `base`
+/// upward using a FORBIDDEN window of `window` entries (CPU/VB only; EB's
+/// window is its 32-bit mask). In `Dense` mode GPU phases over a filtered
+/// view materialize the piece first (streaming is cheap on-device; see
+/// `matching::base_extend`); in `Compact` mode EB runs zero-copy against
+/// the masked view.
 fn base_color_extend(
     run: &mut RunCtx<'_>,
     view: EdgeView<'_>,
@@ -28,27 +28,18 @@ fn base_color_extend(
     base: u32,
     window: usize,
 ) {
-    let (g, counters, scratch) = (run.g, run.counters, &mut run.scratch);
-    match (run.arch, run.mode) {
-        (Arch::Cpu, FrontierMode::Dense) => {
-            vb::vb_extend(g, view, color, worklist, window, base, counters)
-        }
-        (Arch::Cpu, FrontierMode::Compact) => {
-            vb::vb_extend_frontier(g, view, color, worklist, window, base, counters, scratch)
-        }
-        (Arch::GpuSim, FrontierMode::Dense) => {
+    let (g, counters, mode, scratch) = (run.g, run.counters, run.mode, &mut run.scratch);
+    match run.arch {
+        Arch::Cpu => vb::vb_extend(g, view, color, worklist, window, base, counters, scratch),
+        Arch::GpuSim => {
             let exec = BspExecutor::inheriting(counters);
-            if view.is_full() {
-                eb::eb_extend(g, EdgeView::full(), color, worklist, base, &exec);
-            } else {
+            if mode == FrontierMode::Dense && !view.is_full() {
                 let sub = materialize_for_gpu(g, view, exec.counters());
-                eb::eb_extend(&sub, EdgeView::full(), color, worklist, base, &exec);
+                let full = EdgeView::full();
+                eb::eb_extend(&sub, full, color, worklist, base, &exec, mode, scratch);
+            } else {
+                eb::eb_extend(g, view, color, worklist, base, &exec, mode, scratch);
             }
-            counters.merge(exec.counters());
-        }
-        (Arch::GpuSim, FrontierMode::Compact) => {
-            let exec = BspExecutor::inheriting(counters);
-            eb::eb_extend_frontier(g, view, color, worklist, base, &exec, scratch);
             counters.merge(exec.counters());
         }
     }

@@ -13,7 +13,6 @@
 //! cross-thread races — which is why these algorithms converge in a handful
 //! of rounds in practice.
 
-use rayon::prelude::*;
 use sb_graph::csr::{Graph, VertexId, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::atomic::as_atomic_u32;
@@ -27,6 +26,13 @@ use std::sync::atomic::Ordering;
 ///
 /// Colors are drawn from `base` upward. Pass `base = 0` for a fresh
 /// coloring; COLOR-Degk passes `base = max(C_H) + 1` and `window = k + 1`.
+///
+/// VB has one form in both frontier modes: its retry list already holds
+/// only the vertices still to color, compacted every round, and the
+/// per-call `offset` array is borrowed from `scratch`. On one thread the
+/// output is a function of the input alone; across threads VB is the
+/// documented interleaving-dependent exception (it reads live colors).
+#[allow(clippy::too_many_arguments)]
 pub fn vb_extend(
     g: &Graph,
     view: EdgeView<'_>,
@@ -35,11 +41,13 @@ pub fn vb_extend(
     window: usize,
     base: u32,
     counters: &Counters,
+    scratch: &mut Scratch,
 ) {
     assert!(window >= 1);
     assert_eq!(color.len(), g.num_vertices());
-    let mut work = worklist;
-    let mut offset: Vec<u32> = vec![base; g.num_vertices()];
+    let mut work = scratch.take_frontier();
+    work.reset_from(&worklist);
+    let mut offset = scratch.take_u32(g.num_vertices(), base);
 
     while !work.is_empty() {
         let round = counters.round_scope(work.len() as u64);
@@ -50,7 +58,7 @@ pub fn vb_extend(
             let color_at = as_atomic_u32(color);
 
             // Speculative coloring pass.
-            work.par_iter().for_each(|&v| {
+            work.for_each(|v| {
                 counters.add_edges(g.degree(v) as u64);
                 let off = offset[v as usize];
                 // FORBIDDEN window as a small bit mask (window is the average
@@ -90,117 +98,15 @@ pub fn vb_extend(
 
         // Window bump for saturated vertices (sequential over work is fine —
         // saturation is rare).
-        for &v in &work {
-            if color[v as usize] == INVALID {
-                offset[v as usize] += window as u32;
-            }
-        }
-
-        // Conflict detection: the lower-id endpoint of a monochromatic edge
-        // goes back to the worklist.
-        let next: Vec<VertexId> = {
-            let color_ref: &[u32] = color;
-            work.par_iter()
-                .copied()
-                .filter(|&v| {
-                    let c = color_ref[v as usize];
-                    if c == INVALID {
-                        return true; // window saturated, retry with bumped offset
-                    }
-                    view.arcs(g, v)
-                        .any(|(w, _)| color_ref[w as usize] == c && w > v)
-                })
-                .collect()
-        };
-        // Uncolor the losers before the next round.
-        for &v in &next {
-            color[v as usize] = INVALID;
-        }
-        work = next;
-        counters.finish_round(round, || (before - work.len()) as u64);
-    }
-}
-
-/// Frontier form of [`vb_extend`]: the same speculative rounds over a
-/// ping-pong compacted worklist, with the per-call `offset` array borrowed
-/// from `scratch` instead of freshly allocated.
-///
-/// The round logic is statement-for-statement the dense form's (speculate,
-/// bump saturated windows, keep conflicted vertices); the only change is
-/// that the retry worklist is produced by [`sb_par::Frontier::compact`]
-/// rather than a fresh `collect`. On one thread the outputs are
-/// byte-identical to [`vb_extend`]; across threads VB is the documented
-/// interleaving-dependent exception (it reads live colors), in both modes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn vb_extend_frontier(
-    g: &Graph,
-    view: EdgeView<'_>,
-    color: &mut [u32],
-    worklist: Vec<VertexId>,
-    window: usize,
-    base: u32,
-    counters: &Counters,
-    scratch: &mut Scratch,
-) {
-    assert!(window >= 1);
-    assert_eq!(color.len(), g.num_vertices());
-    let mut work = scratch.take_frontier();
-    work.reset_from(&worklist);
-    let mut offset = scratch.take_u32(g.num_vertices(), base);
-
-    while !work.is_empty() {
-        let round = counters.round_scope(work.len() as u64);
-        let before = work.len();
-        counters.add_rounds(1);
-        counters.add_work(work.len() as u64);
-        {
-            let color_at = as_atomic_u32(color);
-
-            // Speculative coloring pass (identical to the dense form).
-            work.for_each(|v| {
-                counters.add_edges(g.degree(v) as u64);
-                let off = offset[v as usize];
-                let words = window.div_ceil(64);
-                let mut forb = [0u64; 4];
-                let mut heap_forb;
-                let forb: &mut [u64] = if words <= 4 {
-                    &mut forb[..words]
-                } else {
-                    heap_forb = vec![0u64; words];
-                    &mut heap_forb
-                };
-                for (w, _) in view.arcs(g, v) {
-                    let c = color_at[w as usize].load(Ordering::Relaxed);
-                    if c != INVALID && c >= off {
-                        let d = (c - off) as usize;
-                        if d < window {
-                            forb[d / 64] |= 1 << (d % 64);
-                        }
-                    }
-                }
-                let mut pick = INVALID;
-                for (wi, &word) in forb.iter().enumerate() {
-                    let limit = (window - wi * 64).min(64);
-                    let b = (!word).trailing_zeros() as usize;
-                    if b < limit {
-                        pick = off + (wi * 64 + b) as u32;
-                        break;
-                    }
-                }
-                color_at[v as usize].store(pick, Ordering::Relaxed);
-            });
-        }
-
-        // Window bump for saturated vertices.
         for &v in work.as_slice() {
             if color[v as usize] == INVALID {
                 offset[v as usize] += window as u32;
             }
         }
 
-        // Conflict detection by frontier compaction over the unmodified
-        // colors, then uncolor the survivors — the same reads and writes
-        // the dense form performs via filter-collect.
+        // Conflict detection: the lower-id endpoint of a monochromatic edge
+        // stays on the worklist. The filter reads the round's colors
+        // unmodified; the survivors are uncolored afterwards.
         {
             let color_ref: &[u32] = color;
             work.compact(|v| {
@@ -227,6 +133,7 @@ pub fn vb_color(g: &Graph, counters: &Counters) -> Vec<u32> {
     let mut color = vec![INVALID; g.num_vertices()];
     let worklist: Vec<VertexId> = g.vertices().collect();
     let window = super::vb_window(g);
+    let scratch = &mut Scratch::new();
     vb_extend(
         g,
         EdgeView::full(),
@@ -235,6 +142,7 @@ pub fn vb_color(g: &Graph, counters: &Counters) -> Vec<u32> {
         window,
         0,
         counters,
+        scratch,
     );
     color
 }
@@ -292,6 +200,7 @@ mod tests {
             2,
             0,
             &Counters::new(),
+            &mut Scratch::new(),
         );
         check_coloring(&g, &color).unwrap();
     }
@@ -310,6 +219,7 @@ mod tests {
             3,
             5,
             &Counters::new(),
+            &mut Scratch::new(),
         );
         check_coloring(&g, &color).unwrap();
         for &c in &color[1..4] {
@@ -346,6 +256,7 @@ mod tests {
             4,
             0,
             &Counters::new(),
+            &mut Scratch::new(),
         );
         assert_eq!(color, vec![7, 8, 9]);
     }

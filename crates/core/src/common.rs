@@ -33,15 +33,16 @@ impl std::fmt::Display for Arch {
 
 /// How a solver's synchronous round loop tracks its live set.
 ///
-/// `Dense` is the paper-faithful formulation: every round sweeps the full
-/// participant list fixed at entry, skipping decided vertices with an O(1)
-/// status check. `Compact` keeps the live set as a flat worklist compacted
-/// between rounds (`sb_par::frontier`), borrows its per-call working arrays
-/// from a scratch arena, and — on the GPU-sim pipeline — runs masked solves
-/// directly against the zero-copy `EdgeView` instead of materializing an
-/// induced CSR. Both modes produce valid solutions; for GM / LMAX / Luby /
-/// VB the outputs are byte-identical across the two (pinned by
-/// `tests/frontier.rs`).
+/// Each baseline solver has one round loop that branches on the mode once
+/// per round. `Dense` is the paper-faithful formulation: every round sweeps
+/// the full participant list fixed at entry, skipping decided vertices with
+/// an O(1) status check. `Compact` keeps the live set as a flat worklist
+/// compacted between rounds (`sb_par::frontier`) and — on the GPU-sim
+/// pipeline — runs masked solves directly against the zero-copy `EdgeView`
+/// instead of materializing an induced CSR. Both modes borrow their
+/// per-call working arrays from the run's scratch arena. Both produce
+/// valid solutions; for GM / LMAX / Luby / VB the outputs are
+/// byte-identical across the two (pinned by `tests/frontier.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FrontierMode {
     /// Full-sweep rounds over a participant list fixed at entry.

@@ -12,6 +12,7 @@
 //! original Blelloch formulation, kept as an ablation: it shows the vain
 //! tendency is a property of the deterministic lowest-id rule.
 
+use crate::common::FrontierMode;
 use rayon::prelude::*;
 use sb_graph::csr::{Graph, VertexId, INVALID};
 use sb_graph::view::EdgeView;
@@ -24,112 +25,38 @@ use std::sync::atomic::Ordering;
 /// Extend `mate` to a maximal matching of the subgraph of `g` restricted to
 /// the edges admitted by `view` and the unmatched vertices passing
 /// `allowed` (lowest-id proposal rule).
+///
+/// Each round every live vertex holds a proposal to its lowest-id live
+/// neighbor, mutual proposals match, and the live set is compacted to the
+/// unmatched vertices that still have a proposal. `mode` selects which
+/// live vertices recompute their proposal:
+///
+/// - `Dense` (the published form) rescans every live vertex each round.
+///   On the rgg instances GM runs ~14 000 rounds, so that rescan dominates
+///   `edges_scanned`.
+/// - `Compact` caches proposals across rounds and rescans a vertex only
+///   when it is *dirty*: a neighbor matched since its proposal was
+///   computed. Every fresh match scatters dirty marks over its
+///   neighborhood, one scatter per vertex over the whole run. A clean
+///   vertex's cached proposal is what the rescan would produce — its dead
+///   prefix stays dead and its target is still unmatched, or it would have
+///   been dirtied — so the matching is byte-identical to `Dense` at any
+///   thread count, while `edges_scanned` drops from O(rounds · live) to
+///   O(m).
 pub fn gm_extend(
     g: &Graph,
     view: EdgeView<'_>,
     mate: &mut [u32],
     allowed: Option<&[bool]>,
     counters: &Counters,
-) {
-    let n = g.num_vertices();
-    assert_eq!(mate.len(), n);
-    let allow = |v: usize| allowed.is_none_or(|a| a[v]);
-
-    // Live vertices: unmatched, allowed, with at least one admitted arc.
-    let mut live: Vec<VertexId> = (0..n)
-        .filter(|&v| mate[v] == INVALID && allow(v) && view.has_arc(g, v as VertexId))
-        .map(|v| v as VertexId)
-        .collect();
-
-    // Proposal target per vertex (only entries of live vertices are read in
-    // the round they were written).
-    let mut proposal = vec![INVALID; n];
-    // Cursor into the sorted adjacency list: matched/disallowed neighbors
-    // never come back, so each vertex's scan is amortized O(degree).
-    let mut cursor = vec![0usize; n];
-
-    while !live.is_empty() {
-        let round = counters.round_scope(live.len() as u64);
-        let before = live.len();
-        counters.add_rounds(1);
-        counters.add_work(live.len() as u64);
-        {
-            let mate_at = as_atomic_u32(mate);
-            let prop_at = as_atomic_u32(&mut proposal);
-            let cur_at = as_atomic_usize(&mut cursor);
-
-            // Phase 1: propose to the lowest-id live neighbor. Non-admitted
-            // arcs are skipped permanently (the view is static), so the
-            // cursor scan stays amortized O(degree) per vertex.
-            live.par_iter().for_each(|&v| {
-                let nbrs = g.neighbors(v);
-                let eids = g.edge_ids_of(v);
-                let mut c = cur_at[v as usize].load(Ordering::Relaxed);
-                let mut scanned = 0u64;
-                while c < nbrs.len() {
-                    let w = nbrs[c] as usize;
-                    if view.admits(eids[c])
-                        && mate_at[w].load(Ordering::Relaxed) == INVALID
-                        && allow(w)
-                    {
-                        break;
-                    }
-                    c += 1;
-                    scanned += 1;
-                }
-                counters.add_edges(scanned + 1);
-                cur_at[v as usize].store(c, Ordering::Relaxed);
-                let p = if c < nbrs.len() { nbrs[c] } else { INVALID };
-                prop_at[v as usize].store(p, Ordering::Relaxed);
-            });
-
-            // Phase 2: mutual proposals match. Pairs are disjoint, so the
-            // two stores per pair race with nothing.
-            live.par_iter().for_each(|&v| {
-                let p = prop_at[v as usize].load(Ordering::Relaxed);
-                if p != INVALID && v < p && prop_at[p as usize].load(Ordering::Relaxed) == v {
-                    mate_at[v as usize].store(p, Ordering::Relaxed);
-                    mate_at[p as usize].store(v, Ordering::Relaxed);
-                }
-            });
-        }
-
-        // Phase 3: drop matched vertices and vertices with no live neighbor
-        // (their neighborhoods can only shrink further).
-        live = live
-            .into_par_iter()
-            .filter(|&v| mate[v as usize] == INVALID && proposal[v as usize] != INVALID)
-            .collect();
-        counters.finish_round(round, || (before - live.len()) as u64);
-    }
-}
-
-/// Frontier form of [`gm_extend`]: the same lowest-id proposal rounds over
-/// a ping-pong compacted worklist, with proposals *cached* across rounds.
-///
-/// The dense form recomputes every live vertex's proposal each round even
-/// though almost all of them are unchanged — on the rgg instances GM runs
-/// ~14 000 rounds, so that rescan dominates `edges_scanned`. Here a live
-/// vertex re-runs its cursor scan only when it is *dirty*: a neighbor
-/// matched since the cached proposal was computed (every fresh match
-/// scatters dirty marks over its neighborhood in phase 2b, amortized one
-/// scatter per vertex over the whole run). A clean vertex's cached proposal
-/// is provably what the dense rescan would produce — dead prefix stays dead
-/// and its target is still unmatched, or it would have been dirtied — so
-/// outputs are byte-identical to [`gm_extend`] for any thread count, while
-/// total `edges_scanned` drops from O(rounds · live) to O(m).
-pub(crate) fn gm_extend_frontier(
-    g: &Graph,
-    view: EdgeView<'_>,
-    mate: &mut [u32],
-    allowed: Option<&[bool]>,
-    counters: &Counters,
+    mode: FrontierMode,
     scratch: &mut Scratch,
 ) {
     let n = g.num_vertices();
     assert_eq!(mate.len(), n);
     let allow = |v: usize| allowed.is_none_or(|a| a[v]);
 
+    // Live vertices: unmatched, allowed, with at least one admitted arc.
     let mut live = scratch.take_frontier();
     {
         let mate_ro: &[u32] = mate;
@@ -137,9 +64,12 @@ pub(crate) fn gm_extend_frontier(
             mate_ro[v as usize] == INVALID && allow(v as usize) && view.has_arc(g, v)
         });
     }
+    // Proposal target per vertex (only entries of live vertices are read).
     let mut proposal = scratch.take_u32(n, INVALID);
+    // Cursor into the sorted adjacency list: matched/disallowed neighbors
+    // never come back, so each vertex's scan is amortized O(degree).
     let mut cursor = scratch.take_usize(n, 0);
-    // Dirty = the cached proposal may be stale; everything starts dirty.
+    // Compact's cache state: the proposal may be stale. All start dirty.
     let dirty = scratch.take_marks(n, true);
 
     while !live.is_empty() {
@@ -151,14 +81,11 @@ pub(crate) fn gm_extend_frontier(
             let mate_at = as_atomic_u32(mate);
             let prop_at = as_atomic_u32(&mut proposal);
             let cur_at = as_atomic_usize(&mut cursor);
-            let dirty_mk = &dirty;
+            let dirty = &dirty;
 
-            // Phase 1: re-propose only where the cache is invalid.
-            live.for_each(|v| {
-                if !dirty_mk.get(v) {
-                    return;
-                }
-                dirty_mk.put(v, false);
+            // Phase 1: propose to the lowest-id live neighbor. Non-admitted
+            // arcs are skipped permanently (the view is static).
+            let propose = |v: u32| {
                 let nbrs = g.neighbors(v);
                 let eids = g.edge_ids_of(v);
                 let mut c = cur_at[v as usize].load(Ordering::Relaxed);
@@ -178,9 +105,19 @@ pub(crate) fn gm_extend_frontier(
                 cur_at[v as usize].store(c, Ordering::Relaxed);
                 let p = if c < nbrs.len() { nbrs[c] } else { INVALID };
                 prop_at[v as usize].store(p, Ordering::Relaxed);
-            });
+            };
+            match mode {
+                FrontierMode::Dense => live.for_each(propose),
+                FrontierMode::Compact => live.for_each(|v| {
+                    if dirty.get(v) {
+                        dirty.put(v, false);
+                        propose(v);
+                    }
+                }),
+            }
 
-            // Phase 2: mutual proposals match, exactly as in the dense form.
+            // Phase 2: mutual proposals match. Pairs are disjoint, so the
+            // two stores per pair race with nothing.
             live.for_each(|v| {
                 let p = prop_at[v as usize].load(Ordering::Relaxed);
                 if p != INVALID && v < p && prop_at[p as usize].load(Ordering::Relaxed) == v {
@@ -189,21 +126,24 @@ pub(crate) fn gm_extend_frontier(
                 }
             });
 
-            // Phase 2b: every vertex matched this round invalidates its
-            // neighbors' cached proposals. Each vertex matches at most once,
-            // so these scatters total O(m) over the whole run.
-            live.for_each(|v| {
-                if mate_at[v as usize].load(Ordering::Relaxed) == INVALID {
-                    return;
-                }
-                counters.add_edges(g.degree(v) as u64);
-                for (w, _) in view.arcs(g, v) {
-                    dirty_mk.put(w, true);
-                }
-            });
+            // Phase 2b (Compact): every vertex matched this round dirties
+            // its neighbors' cached proposals. Each vertex matches at most
+            // once, so these scatters total O(m) over the whole run.
+            if mode == FrontierMode::Compact {
+                live.for_each(|v| {
+                    if mate_at[v as usize].load(Ordering::Relaxed) == INVALID {
+                        return;
+                    }
+                    counters.add_edges(g.degree(v) as u64);
+                    for (w, _) in view.arcs(g, v) {
+                        dirty.put(w, true);
+                    }
+                });
+            }
         }
 
-        // Phase 3: in-place compaction under the dense form's predicate.
+        // Phase 3: drop matched vertices and vertices with no live neighbor
+        // (their neighborhoods can only shrink further).
         {
             let mate_ro: &[u32] = mate;
             let prop_ro: &[u32] = &proposal;
@@ -285,10 +225,22 @@ mod tests {
     use crate::verify::{check_maximal_matching, matching_cardinality};
     use sb_graph::builder::from_edge_list;
 
+    /// GM on the full view from `mate` in `mode`; returns its counters.
+    fn gm(g: &Graph, mate: &mut [u32], allowed: Option<&[bool]>, mode: FrontierMode) -> Counters {
+        let (c, s) = (Counters::new(), &mut Scratch::new());
+        gm_extend(g, EdgeView::full(), mate, allowed, &c, mode, s);
+        c
+    }
+
+    /// GM from an empty matching in both modes, which must agree.
     fn run_gm(g: &Graph) -> Vec<u32> {
-        let mut mate = vec![INVALID; g.num_vertices()];
-        gm_extend(g, EdgeView::full(), &mut mate, None, &Counters::new());
-        mate
+        let [dense, compact] = [FrontierMode::Dense, FrontierMode::Compact].map(|mode| {
+            let mut mate = vec![INVALID; g.num_vertices()];
+            gm(g, &mut mate, None, mode);
+            mate
+        });
+        assert_eq!(dense, compact);
+        dense
     }
 
     #[test]
@@ -320,13 +272,7 @@ mod tests {
         let g = from_edge_list(4, &[(0, 1), (1, 2), (2, 3)]);
         let mut mate = vec![INVALID; 4];
         let allowed = vec![false, false, true, true];
-        gm_extend(
-            &g,
-            EdgeView::full(),
-            &mut mate,
-            Some(&allowed),
-            &Counters::new(),
-        );
+        gm(&g, &mut mate, Some(&allowed), FrontierMode::Dense);
         assert_eq!(mate, vec![INVALID, INVALID, 3, 2]);
     }
 
@@ -336,7 +282,7 @@ mod tests {
         let mut mate = vec![INVALID; 4];
         mate[1] = 2;
         mate[2] = 1;
-        gm_extend(&g, EdgeView::full(), &mut mate, None, &Counters::new());
+        gm(&g, &mut mate, None, FrontierMode::Dense);
         // (1,2) already matched; 0 and 3 have no unmatched neighbors.
         assert_eq!(mate, vec![INVALID, 2, 1, INVALID]);
         check_maximal_matching(&g, &mate).unwrap();
@@ -349,9 +295,8 @@ mod tests {
         let n = 64;
         let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         let g = from_edge_list(n as usize, &edges);
-        let c = Counters::new();
         let mut mate = vec![INVALID; n as usize];
-        gm_extend(&g, EdgeView::full(), &mut mate, None, &c);
+        let c = gm(&g, &mut mate, None, FrontierMode::Dense);
         check_maximal_matching(&g, &mate).unwrap();
         assert!(
             c.rounds() >= (n as u64) / 4,
@@ -392,9 +337,7 @@ mod tests {
                 &Counters::new(),
             );
             check_maximal_matching(&g, &mate).unwrap();
-            let mut mate2 = vec![INVALID; n];
-            gm_extend(&g, EdgeView::full(), &mut mate2, None, &Counters::new());
-            check_maximal_matching(&g, &mate2).unwrap();
+            check_maximal_matching(&g, &run_gm(&g)).unwrap();
         }
     }
 
@@ -402,7 +345,7 @@ mod tests {
     fn empty_graph_noop() {
         let g = Graph::empty(3);
         let mut mate = vec![INVALID; 3];
-        gm_extend(&g, EdgeView::full(), &mut mate, None, &Counters::new());
+        gm(&g, &mut mate, None, FrontierMode::Dense);
         assert_eq!(mate, vec![INVALID; 3]);
     }
 }

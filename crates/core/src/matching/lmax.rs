@@ -4,53 +4,64 @@
 //! random, fixed per seed); an edge whose two endpoints point at each other
 //! is a local maximum and enters the matching. Expressed as flat
 //! device-wide kernels per round (point, match) on the bulk-synchronous
-//! executor — full sweeps over the vertex range each round, the structure
-//! of the era's CUDA codes (and the cost structure the decomposition-based
-//! composites attack).
+//! executor. In `FrontierMode::Dense` every round sweeps the full vertex
+//! range, the structure of the era's CUDA codes (and the cost structure
+//! the decomposition-based composites attack).
 //!
 //! Unlike GM's lowest-id rule, random weights give a constant expected
 //! fraction of matches per round, so LMAX needs O(log n) rounds; the paper
 //! exploits the *similarity* of the two proposal models to transfer the
 //! MM-Rand conclusions from CPU to GPU.
 
+use crate::common::FrontierMode;
 use sb_graph::csr::{Graph, INVALID};
 use sb_graph::view::EdgeView;
 use sb_par::atomic::as_atomic_u32;
 use sb_par::bsp::BspExecutor;
-use sb_par::frontier::Scratch;
+use sb_par::frontier::{Frontier, Scratch};
 use sb_par::rng::hash2;
 use std::sync::atomic::Ordering;
 
-/// Extend `mate` to a maximal matching of the subgraph of `g` induced by
-/// unmatched vertices passing `allowed`, using local-max rounds on the
-/// BSP executor.
+/// Extend `mate` to a maximal matching of the subgraph of `g` restricted
+/// to the edges admitted by `view` and the unmatched vertices passing
+/// `allowed`, using local-max rounds on the BSP executor.
+///
+/// `weight_ids[e]`, when given, is the id to key edge `e`'s random weight
+/// by (and to break weight ties with). A caller running LMAX on a
+/// *materialized* subgraph passes the new-id → original-id map
+/// (`EdgeView::admitted_edge_ids`), so the solve is byte-identical to
+/// running zero-copy against the masked view of the parent:
+/// materialization renumbers edges by rank among the kept ones — a
+/// strictly increasing map — so per-edge weights and tie-break order both
+/// transfer exactly. `None` keys weights by the local edge id.
+///
+/// Each round launches the point and match kernels over the live list.
+/// `mode` selects what happens to that list between rounds:
+///
+/// - `Dense` (the era's CUDA structure) keeps it whole: every round sweeps
+///   the participant list fixed at entry, and kernel 1's matched check
+///   skips settled vertices.
+/// - `Compact` drops matched vertices after every productive round,
+///   charged as a third kernel over the live set. A kernel-2 read of
+///   `pointer[p]` only ever targets a vertex unmatched at round start — a
+///   live vertex with a fresh kernel-1 pointer — so stale pointers are
+///   never consulted and the matching is byte-identical to `Dense` for
+///   any seed and thread count.
+///
+/// A round in which no vertex finds a live edge settles nothing and only
+/// observes that the solve is finished. It is marked vacuous in the trace,
+/// and `Compact` skips it whenever its list empties first.
+#[allow(clippy::too_many_arguments)]
 pub fn lmax_extend(
     g: &Graph,
     view: EdgeView<'_>,
     mate: &mut [u32],
     allowed: Option<&[bool]>,
     seed: u64,
-    exec: &BspExecutor,
-) {
-    lmax_extend_with_ids(g, view, mate, allowed, seed, exec, None);
-}
-
-/// [`lmax_extend`] with an explicit edge-identity map: `weight_ids[e]` is
-/// the id to key edge `e`'s random weight by (and to break weight ties
-/// with). Callers running LMAX on a *materialized* subgraph pass the
-/// new-id → original-id map (`EdgeView::admitted_edge_ids`) so the solve
-/// is byte-identical to running zero-copy against the masked view of the
-/// parent: materialization renumbers edges by rank among the kept ones —
-/// a strictly increasing map — so per-edge weights and tie-break order
-/// both transfer exactly. `None` keys weights by the local edge id.
-pub(crate) fn lmax_extend_with_ids(
-    g: &Graph,
-    view: EdgeView<'_>,
-    mate: &mut [u32],
-    allowed: Option<&[bool]>,
-    seed: u64,
-    exec: &BspExecutor,
     weight_ids: Option<&[u32]>,
+    exec: &BspExecutor,
+    mode: FrontierMode,
+    scratch: &mut Scratch,
 ) {
     let n = g.num_vertices();
     assert_eq!(mate.len(), n);
@@ -63,24 +74,28 @@ pub(crate) fn lmax_extend_with_ids(
         (hash2(seed, id as u64), id)
     };
 
-    // The vertex set of the (sub)graph being matched, fixed at entry (the
-    // composites pass already-reduced instances; there is no per-round
-    // worklist compaction).
-    let participants: Vec<u32> = (0..n as u32)
-        .filter(|&v| mate[v as usize] == INVALID && allow(v as usize) && view.has_arc(g, v))
-        .collect();
-    let mut pointer = vec![INVALID; n];
+    let mut live = scratch.take_frontier();
+    {
+        let mate_ro: &[u32] = mate;
+        live.reset_range(n, |v| {
+            mate_ro[v as usize] == INVALID && allow(v as usize) && view.has_arc(g, v)
+        });
+    }
+    let mut pointer = scratch.take_u32(n, INVALID);
     let counters = exec.counters();
-    let unmatched = |mate: &[u32]| {
-        participants
+    // Compact's list holds only unmatched vertices between rounds.
+    let unmatched = |live: &Frontier, mate: &[u32]| match mode {
+        FrontierMode::Dense => live
+            .as_slice()
             .iter()
             .filter(|&&v| mate[v as usize] == INVALID)
-            .count() as u64
+            .count() as u64,
+        FrontierMode::Compact => live.len() as u64,
     };
 
-    while !participants.is_empty() {
+    while !live.is_empty() {
         let active = if counters.tracing() {
-            unmatched(mate)
+            unmatched(&live, mate)
         } else {
             0
         };
@@ -94,111 +109,12 @@ pub(crate) fn lmax_extend_with_ids(
             // incident edge; the device-wide flag records whether any live
             // edge remains.
             let flag = std::sync::atomic::AtomicBool::new(false);
-            exec.kernel_over(&participants, |v| {
+            exec.kernel_over(live.as_slice(), |v| {
                 if mate_at[v as usize].load(Ordering::Relaxed) != INVALID {
                     ptr_at[v as usize].store(INVALID, Ordering::Relaxed);
                     return;
                 }
-                exec.counters().add_edges(g.degree(v) as u64);
-                let mut best = INVALID;
-                let mut best_key = (0u64, 0u32);
-                let mut first = true;
-                for (w, e) in view.arcs(g, v) {
-                    if mate_at[w as usize].load(Ordering::Relaxed) == INVALID && allow(w as usize) {
-                        let key = weight(e);
-                        if first || key > best_key {
-                            best_key = key;
-                            best = w;
-                            first = false;
-                        }
-                    }
-                }
-                ptr_at[v as usize].store(best, Ordering::Relaxed);
-                if best != INVALID {
-                    flag.store(true, Ordering::Relaxed);
-                }
-            });
-            any_pointer = flag.load(Ordering::Relaxed);
-
-            // Kernel 2: mutual pointers match.
-            if any_pointer {
-                exec.kernel_over(&participants, |v| {
-                    if mate_at[v as usize].load(Ordering::Relaxed) != INVALID {
-                        return;
-                    }
-                    let p = ptr_at[v as usize].load(Ordering::Relaxed);
-                    if p != INVALID && v < p && ptr_at[p as usize].load(Ordering::Relaxed) == v {
-                        mate_at[v as usize].store(p, Ordering::Relaxed);
-                        mate_at[p as usize].store(v, Ordering::Relaxed);
-                    }
-                });
-            }
-        }
-        exec.end_round();
-        // A no-pointer sweep settles nothing and only observes that the
-        // solve is finished: mark it vacuous so cross-mode round
-        // accounting can discount it (the frontier form skips this sweep
-        // whenever its worklist empties first).
-        counters.finish_round_flagged(scope, !any_pointer, || {
-            active.saturating_sub(unmatched(mate))
-        });
-        if !any_pointer {
-            break;
-        }
-    }
-}
-
-/// Frontier form of [`lmax_extend`]: the same point/match kernels per
-/// round, launched over a compacted worklist of still-unmatched
-/// participants, with the `pointer` array borrowed from `scratch`.
-///
-/// Byte-identical to [`lmax_extend`] for any seed and thread count: edge
-/// weights are keyed by edge id (unaffected by compaction), and a kernel-2
-/// read of `pointer[p]` only ever targets a vertex that was unmatched at
-/// round start — i.e. a frontier member with a fresh kernel-1 pointer — so
-/// the stale pointers of matched vertices are never consulted. The
-/// productive round structure is preserved exactly; the dense form's
-/// final no-pointer sweep is skipped whenever the worklist empties first,
-/// and is marked `vacuous` in the trace when either form does run it.
-/// Compaction is charged as a third kernel over the live set.
-pub(crate) fn lmax_extend_frontier(
-    g: &Graph,
-    view: EdgeView<'_>,
-    mate: &mut [u32],
-    allowed: Option<&[bool]>,
-    seed: u64,
-    exec: &BspExecutor,
-    scratch: &mut Scratch,
-) {
-    let n = g.num_vertices();
-    assert_eq!(mate.len(), n);
-    let allow = |v: usize| allowed.is_none_or(|a| a[v]);
-    let weight = |e: u32| (hash2(seed, e as u64), e);
-
-    let mut live = scratch.take_frontier();
-    {
-        let mate_ro: &[u32] = mate;
-        live.reset_range(n, |v| {
-            mate_ro[v as usize] == INVALID && allow(v as usize) && view.has_arc(g, v)
-        });
-    }
-    let mut pointer = scratch.take_u32(n, INVALID);
-    let counters = exec.counters();
-
-    while !live.is_empty() {
-        // Every live vertex is unmatched by the frontier invariant, so the
-        // dense form's tracing-only unmatched count is just the live count.
-        let active = live.len() as u64;
-        let scope = counters.round_scope(active);
-        let any_pointer;
-        {
-            let mate_at = as_atomic_u32(mate);
-            let ptr_at = as_atomic_u32(&mut pointer);
-
-            // Kernel 1: point at the heaviest live incident edge.
-            let flag = std::sync::atomic::AtomicBool::new(false);
-            exec.kernel_over(live.as_slice(), |v| {
-                exec.counters().add_edges(g.degree(v) as u64);
+                counters.add_edges(g.degree(v) as u64);
                 let mut best = INVALID;
                 let mut best_key = (0u64, 0u32);
                 let mut first = true;
@@ -233,15 +149,16 @@ pub(crate) fn lmax_extend_frontier(
                 });
             }
         }
-        if any_pointer {
-            // Kernel 3: frontier compaction (the dense form instead rescans
-            // the full participant list inside the next kernel 1).
-            exec.counters().add_kernel(live.len() as u64);
+        if any_pointer && mode == FrontierMode::Compact {
+            // Kernel 3: frontier compaction.
+            counters.add_kernel(live.len() as u64);
             let mate_ro: &[u32] = mate;
             live.compact(|v| mate_ro[v as usize] == INVALID);
         }
         exec.end_round();
-        counters.finish_round_flagged(scope, !any_pointer, || active - live.len() as u64);
+        counters.finish_round_flagged(scope, !any_pointer, || {
+            active.saturating_sub(unmatched(&live, mate))
+        });
         if !any_pointer {
             break;
         }
@@ -256,11 +173,29 @@ mod tests {
     use crate::verify::{check_maximal_matching, matching_cardinality};
     use sb_graph::builder::from_edge_list;
 
+    /// LMAX on the full view from `mate` in `mode`; returns its rounds.
+    fn lmax(
+        g: &Graph,
+        mate: &mut [u32],
+        allowed: Option<&[bool]>,
+        seed: u64,
+        mode: FrontierMode,
+    ) -> u64 {
+        let (exec, full, s) = (BspExecutor::new(), EdgeView::full(), &mut Scratch::new());
+        lmax_extend(g, full, mate, allowed, seed, None, &exec, mode, s);
+        exec.counters().rounds()
+    }
+
+    /// LMAX from an empty matching in both modes, which must agree;
+    /// returns the dense run's matching and rounds.
     fn run_lmax(g: &Graph, seed: u64) -> (Vec<u32>, u64) {
-        let exec = BspExecutor::new();
-        let mut mate = vec![INVALID; g.num_vertices()];
-        lmax_extend(g, EdgeView::full(), &mut mate, None, seed, &exec);
-        (mate, exec.counters().rounds())
+        let [dense, compact] = [FrontierMode::Dense, FrontierMode::Compact].map(|mode| {
+            let mut mate = vec![INVALID; g.num_vertices()];
+            let rounds = lmax(g, &mut mate, None, seed, mode);
+            (mate, rounds)
+        });
+        assert_eq!(dense.0, compact.0);
+        dense
     }
 
     #[test]
@@ -311,8 +246,7 @@ mod tests {
         mate[0] = 1;
         mate[1] = 0;
         let allowed = vec![true, true, true, true, false];
-        let exec = BspExecutor::new();
-        lmax_extend(&g, EdgeView::full(), &mut mate, Some(&allowed), 9, &exec);
+        lmax(&g, &mut mate, Some(&allowed), 9, FrontierMode::Dense);
         // (0,1) untouched; only (2,3) can match; 4 is masked out.
         assert_eq!(mate, vec![1, 0, 3, 2, INVALID]);
     }

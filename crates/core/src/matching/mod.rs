@@ -83,18 +83,17 @@ pub fn maximal_matching(
 
 /// Extend the partial matching in `mate` to a maximal matching of the
 /// subgraph of `g` restricted to `view` and to unmatched vertices passing
-/// `allowed`, using the baseline solver of `arch`.
+/// `allowed`, using the baseline solver of `arch` in the run's mode.
 ///
 /// On the CPU, GM runs directly against the filtered view (its adjacency
-/// cursor skips non-admitted arcs amortized-free). The GPU pipeline first
-/// materializes the admitted piece — on-device that is a handful of cheap
-/// streaming passes, whereas per-arc class checks inside the solver's
-/// kernels would be gathers; the materialization work is charged to the
-/// counters (and hence to the modeled device time).
-/// In `Compact` mode the GPU pipeline instead runs the frontier LMAX
-/// zero-copy against the masked view: per-arc admit checks ride along the
-/// already-compacted worklist sweeps, so no induced CSR is built. Both
-/// paths key LMAX edge weights by *original* edge id — the dense path
+/// cursor skips non-admitted arcs amortized-free). In `Dense` mode the GPU
+/// pipeline first materializes the admitted piece — on-device that is a
+/// handful of cheap streaming passes, whereas per-arc class checks inside
+/// the solver's kernels would be gathers; the materialization work is
+/// charged to the counters (and hence to the modeled device time).
+/// In `Compact` mode LMAX instead runs zero-copy against the masked view:
+/// per-arc admit checks ride along the already-compacted worklist sweeps.
+/// Both paths key LMAX edge weights by *original* edge id — the dense path
 /// carries the new-id → original-id map of the materialization — so dense
 /// and compact are byte-identical on masked views too (pinned by
 /// `tests/frontier.rs`).
@@ -105,36 +104,19 @@ pub(crate) fn base_extend(
     allowed: Option<&[bool]>,
     seed: u64,
 ) {
-    let (g, counters, scratch) = (run.g, run.counters, &mut run.scratch);
-    match (run.arch, run.mode) {
-        (Arch::Cpu, FrontierMode::Dense) => gm::gm_extend(g, view, mate, allowed, counters),
-        (Arch::Cpu, FrontierMode::Compact) => {
-            gm::gm_extend_frontier(g, view, mate, allowed, counters, scratch)
-        }
-        (Arch::GpuSim, FrontierMode::Dense) => {
+    let (g, counters, mode, scratch) = (run.g, run.counters, run.mode, &mut run.scratch);
+    match run.arch {
+        Arch::Cpu => gm::gm_extend(g, view, mate, allowed, counters, mode, scratch),
+        Arch::GpuSim => {
             let exec = BspExecutor::inheriting(counters);
-            if view.is_full() {
-                lmax::lmax_extend(g, EdgeView::full(), mate, allowed, seed, &exec);
-            } else {
-                // Weights must be keyed by the parent's edge ids, not the
-                // renumbered ones, to match the zero-copy compact path.
+            if mode == FrontierMode::Dense && !view.is_full() {
                 let orig_ids = view.admitted_edge_ids(g);
                 let sub = materialize_for_gpu(g, view, exec.counters());
-                lmax::lmax_extend_with_ids(
-                    &sub,
-                    EdgeView::full(),
-                    mate,
-                    allowed,
-                    seed,
-                    &exec,
-                    Some(&orig_ids),
-                );
+                let (full, ids) = (EdgeView::full(), Some(orig_ids.as_slice()));
+                lmax::lmax_extend(&sub, full, mate, allowed, seed, ids, &exec, mode, scratch);
+            } else {
+                lmax::lmax_extend(g, view, mate, allowed, seed, None, &exec, mode, scratch);
             }
-            counters.merge(exec.counters());
-        }
-        (Arch::GpuSim, FrontierMode::Compact) => {
-            let exec = BspExecutor::inheriting(counters);
-            lmax::lmax_extend_frontier(g, view, mate, allowed, seed, &exec, scratch);
             counters.merge(exec.counters());
         }
     }

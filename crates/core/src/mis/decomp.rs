@@ -1,6 +1,6 @@
 //! Decomposition-based MIS (Algorithms 10–12 of the paper).
 
-use super::luby::{luby_extend, luby_extend_bsp, luby_extend_bsp_frontier, luby_extend_frontier};
+use super::luby::{luby_extend, luby_extend_bsp};
 use super::oriented::oriented_mis_extend;
 use super::status::{IN, OUT, UNDECIDED};
 use crate::common::{Arch, FrontierMode, RunCtx};
@@ -17,8 +17,8 @@ use sb_par::bsp::BspExecutor;
 use sb_par::counters::Counters;
 use std::sync::atomic::Ordering;
 
-/// Run the architecture's Luby form over the undecided vertices of `g`
-/// passing `allowed`, restricted to the edges of `view`.
+/// Run the architecture's Luby form in the run's mode over the undecided
+/// vertices of `g` passing `allowed`, restricted to the edges of `view`.
 ///
 /// In `Dense` mode, GPU phases over a filtered view materialize the piece
 /// first (see `matching::base_extend`). In `Compact` mode both
@@ -32,25 +32,18 @@ fn base_mis_extend(
     allowed: Option<&[bool]>,
     seed: u64,
 ) {
-    let (g, counters, scratch) = (run.g, run.counters, &mut run.scratch);
-    match (run.arch, run.mode) {
-        (Arch::Cpu, FrontierMode::Dense) => luby_extend(g, view, status, allowed, seed, counters),
-        (Arch::Cpu, FrontierMode::Compact) => {
-            luby_extend_frontier(g, view, status, allowed, seed, counters, scratch)
-        }
-        (Arch::GpuSim, FrontierMode::Dense) => {
+    let (g, counters, mode, scratch) = (run.g, run.counters, run.mode, &mut run.scratch);
+    match run.arch {
+        Arch::Cpu => luby_extend(g, view, status, allowed, seed, counters, mode, scratch),
+        Arch::GpuSim => {
             let exec = BspExecutor::inheriting(counters);
-            if view.is_full() {
-                luby_extend_bsp(g, EdgeView::full(), status, allowed, seed, &exec);
-            } else {
+            if mode == FrontierMode::Dense && !view.is_full() {
                 let sub = materialize_for_gpu(g, view, exec.counters());
-                luby_extend_bsp(&sub, EdgeView::full(), status, allowed, seed, &exec);
+                let full = EdgeView::full();
+                luby_extend_bsp(&sub, full, status, allowed, seed, &exec, mode, scratch);
+            } else {
+                luby_extend_bsp(g, view, status, allowed, seed, &exec, mode, scratch);
             }
-            counters.merge(exec.counters());
-        }
-        (Arch::GpuSim, FrontierMode::Compact) => {
-            let exec = BspExecutor::inheriting(counters);
-            luby_extend_bsp_frontier(g, view, status, allowed, seed, &exec, scratch);
             counters.merge(exec.counters());
         }
     }

@@ -10,23 +10,41 @@
 //! constants than the modern local-minimum variant — this round count is
 //! the cost the MIS composites attack.
 //!
-//! Both [`luby_extend`] forms are *full-sweep* over the graph being
-//! solved, as in the era's published implementations: the participant list
-//! is fixed once at entry (the vertex set of the — possibly reduced —
-//! graph, e.g. Algorithm 11's "reduced graph R"), and every round sweeps
-//! that whole list, skipping decided vertices with an O(1) status check,
-//! until a counting pass finds no undecided participant. There is no
-//! per-round worklist compaction.
+//! [`luby_extend`] (CPU) and [`luby_extend_bsp`] (GPU-sim kernels) each run
+//! these rounds in both frontier modes. In `FrontierMode::Dense`, the
+//! era's published structure, the participant list is fixed once at entry
+//! (the vertex set of the — possibly reduced — graph, e.g. Algorithm 11's
+//! "reduced graph R"), and every round sweeps that whole list, skipping
+//! decided vertices with an O(1) status check, until a counting pass finds
+//! no undecided participant. `FrontierMode::Compact` compacts the list to
+//! the undecided vertices every round, resolves conflicts over the marked
+//! candidates only (an unmarked vertex can never join), and from round 2
+//! on excludes by a scatter from the round's winners instead of a gather
+//! over every live vertex. The scatter is valid because a live vertex can
+//! only have acquired an IN neighbor through this round's winners: the
+//! previous round's exclusion cleared all others. Round 1 gathers, so IN
+//! vertices decided by *earlier* extend calls (outside `allowed`) still
+//! exclude their neighbors.
+//!
+//! The two modes are byte-identical for any seed and thread count: the
+//! compacted list holds exactly the undecided participants at every round
+//! start (a vertex that leaves `UNDECIDED` never returns), every read of a
+//! mark or residual degree is guarded by an `UNDECIDED` status check, and
+//! `hash3(seed, round, v)` uses the same round numbering. Only the
+//! counters differ: `Compact` charges the live set, not the participant
+//! list.
+//!
 //! [`luby_extend_compacted`] is the modern optimization of the problem
 //! (worklist compaction + local-minimum selection), kept as an ablation —
 //! it is strictly stronger than the published baselines.
 
 use super::status::{IN, OUT, UNDECIDED};
 use super::undecided_participants;
+use crate::common::FrontierMode;
 use rayon::prelude::*;
 use sb_graph::csr::{Graph, VertexId};
 use sb_graph::view::EdgeView;
-use sb_par::atomic::as_atomic_u8;
+use sb_par::atomic::{as_atomic_u32, as_atomic_u8};
 use sb_par::bsp::BspExecutor;
 use sb_par::counters::Counters;
 use sb_par::frontier::Scratch;
@@ -35,7 +53,9 @@ use std::sync::atomic::Ordering;
 
 /// Decide every undecided vertex passing `allowed` (IN or OUT) so that the
 /// IN vertices form an MIS of the subgraph of `g` induced by those vertices
-/// and the edges of `view`. Full-sweep rounds (see module docs).
+/// and the edges of `view`, in three sweeps per round (see module docs for
+/// what `mode` changes).
+#[allow(clippy::too_many_arguments)]
 pub fn luby_extend(
     g: &Graph,
     view: EdgeView<'_>,
@@ -43,251 +63,7 @@ pub fn luby_extend(
     allowed: Option<&[bool]>,
     seed: u64,
     counters: &Counters,
-) {
-    let n = g.num_vertices();
-    assert_eq!(status.len(), n);
-    let allow = |v: usize| allowed.is_none_or(|a| a[v]);
-    // The vertex set of the (sub)graph being solved, fixed at entry.
-    let participants: Vec<VertexId> = undecided_participants(status, allowed);
-    // Residual degree and mark flag, refreshed each round.
-    let mut degree = vec![0u32; n];
-    let mut marked = vec![0u8; n];
-    let mut round = 0u64;
-    let mut undecided = participants.len();
-
-    while !participants.is_empty() {
-        round += 1;
-        let scope = counters.round_scope(undecided as u64);
-        counters.add_rounds(1);
-        counters.add_work(3 * participants.len() as u64);
-        let remaining;
-        {
-            let st = as_atomic_u8(status);
-            let deg_at = sb_par::atomic::as_atomic_u32(&mut degree);
-            let mk = as_atomic_u8(&mut marked);
-
-            // Sweep 1: residual degree + probabilistic marking.
-            participants.par_iter().for_each(|&v| {
-                if st[v as usize].load(Ordering::Relaxed) != UNDECIDED {
-                    mk[v as usize].store(0, Ordering::Relaxed);
-                    return;
-                }
-                counters.add_edges(g.degree(v) as u64);
-                let mut d = 0u32;
-                for (w, _) in view.arcs(g, v) {
-                    if st[w as usize].load(Ordering::Relaxed) == UNDECIDED && allow(w as usize) {
-                        d += 1;
-                    }
-                }
-                deg_at[v as usize].store(d, Ordering::Relaxed);
-                let m = if d == 0 {
-                    1 // isolated in the residual graph: always a candidate
-                } else {
-                    // Mark with probability 1/(2d).
-                    u8::from(hash3(seed, round, v as u64) < u64::MAX / (2 * d as u64))
-                };
-                mk[v as usize].store(m, Ordering::Relaxed);
-            });
-
-            // Sweep 2: resolve marked conflicts — the endpoint of smaller
-            // (residual degree, id) unmarks, so the survivors are the local
-            // maxima among the marked and hence independent.
-            let survives = |v: u32| -> bool {
-                if mk[v as usize].load(Ordering::Relaxed) == 0 {
-                    return false;
-                }
-                let dv = (deg_at[v as usize].load(Ordering::Relaxed), v);
-                for (w, _) in view.arcs(g, v) {
-                    let sw = st[w as usize].load(Ordering::Relaxed);
-                    // A neighbor that already turned IN this round blocks
-                    // (it was a marked competitor we may have missed).
-                    if sw == IN
-                        || (sw == UNDECIDED
-                            && allow(w as usize)
-                            && mk[w as usize].load(Ordering::Relaxed) == 1
-                            && (deg_at[w as usize].load(Ordering::Relaxed), w) > dv)
-                    {
-                        return false;
-                    }
-                }
-                true
-            };
-            participants.par_iter().for_each(|&v| {
-                if st[v as usize].load(Ordering::Relaxed) != UNDECIDED {
-                    return;
-                }
-                counters.add_edges(deg_at[v as usize].load(Ordering::Relaxed) as u64);
-                if survives(v) {
-                    st[v as usize].store(IN, Ordering::Relaxed);
-                }
-            });
-
-            // Sweep 3: neighbors of fresh IN vertices drop out; count what
-            // is still undecided for the termination test.
-            remaining = participants
-                .par_iter()
-                .filter(|&&v| {
-                    if st[v as usize].load(Ordering::Relaxed) != UNDECIDED {
-                        return false;
-                    }
-                    for (w, _) in view.arcs(g, v) {
-                        if st[w as usize].load(Ordering::Relaxed) == IN {
-                            st[v as usize].store(OUT, Ordering::Relaxed);
-                            return false;
-                        }
-                    }
-                    true
-                })
-                .count();
-        }
-        counters.finish_round(scope, || (undecided - remaining) as u64);
-        undecided = remaining;
-        if remaining == 0 {
-            break;
-        }
-    }
-}
-
-/// Flat bulk-synchronous form of [`luby_extend`] for the GPU-sim executor:
-/// the same full-sweep rounds as three device-wide kernels.
-pub fn luby_extend_bsp(
-    g: &Graph,
-    view: EdgeView<'_>,
-    status: &mut [u8],
-    allowed: Option<&[bool]>,
-    seed: u64,
-    exec: &BspExecutor,
-) {
-    let n = g.num_vertices();
-    assert_eq!(status.len(), n);
-    let allow = |v: usize| allowed.is_none_or(|a| a[v]);
-    let participants: Vec<u32> = undecided_participants(status, allowed);
-    let mut degree = vec![0u32; n];
-    let mut marked = vec![0u8; n];
-    let mut round = 0u64;
-    let mut undecided = participants.len();
-    let counters = exec.counters();
-
-    while !participants.is_empty() {
-        round += 1;
-        let scope = counters.round_scope(undecided as u64);
-        {
-            let st = as_atomic_u8(status);
-            let deg_at = sb_par::atomic::as_atomic_u32(&mut degree);
-            let mk = as_atomic_u8(&mut marked);
-
-            // Kernel 1: residual degree + probabilistic marking.
-            exec.kernel_over(&participants, |v| {
-                let vi = v as usize;
-                if st[vi].load(Ordering::Relaxed) != UNDECIDED {
-                    mk[vi].store(0, Ordering::Relaxed);
-                    return;
-                }
-                exec.counters().add_edges(g.degree(v) as u64);
-                let mut d = 0u32;
-                for (w, _) in view.arcs(g, v) {
-                    if st[w as usize].load(Ordering::Relaxed) == UNDECIDED && allow(w as usize) {
-                        d += 1;
-                    }
-                }
-                deg_at[vi].store(d, Ordering::Relaxed);
-                let m = if d == 0 {
-                    1
-                } else {
-                    u8::from(hash3(seed, round, v as u64) < u64::MAX / (2 * d as u64))
-                };
-                mk[vi].store(m, Ordering::Relaxed);
-            });
-
-            // Kernel 2: conflict resolution — local maxima among the marked
-            // (by residual degree, then id) join the set.
-            exec.kernel_over(&participants, |v| {
-                let vi = v as usize;
-                if st[vi].load(Ordering::Relaxed) != UNDECIDED
-                    || mk[vi].load(Ordering::Relaxed) == 0
-                {
-                    return;
-                }
-                exec.counters()
-                    .add_edges(deg_at[vi].load(Ordering::Relaxed) as u64);
-                let dv = (deg_at[vi].load(Ordering::Relaxed), v);
-                let beaten = view.arcs(g, v).any(|(w, _)| {
-                    let sw = st[w as usize].load(Ordering::Relaxed);
-                    sw == IN
-                        || (sw == UNDECIDED
-                            && allow(w as usize)
-                            && mk[w as usize].load(Ordering::Relaxed) == 1
-                            && (deg_at[w as usize].load(Ordering::Relaxed), w) > dv)
-                });
-                if !beaten {
-                    st[vi].store(IN, Ordering::Relaxed);
-                }
-            });
-
-            // Kernel 3: exclusion.
-            exec.kernel_over(&participants, |v| {
-                let vi = v as usize;
-                if st[vi].load(Ordering::Relaxed) != UNDECIDED {
-                    return;
-                }
-                exec.counters().add_edges(g.degree(v) as u64);
-                if view
-                    .arcs(g, v)
-                    .any(|(w, _)| st[w as usize].load(Ordering::Relaxed) == IN)
-                {
-                    st[vi].store(OUT, Ordering::Relaxed);
-                }
-            });
-        }
-
-        // Kernel 4: termination count over the participant list.
-        let remaining = {
-            let st: &[u8] = status;
-            exec.counters().add_kernel(participants.len() as u64);
-            participants
-                .iter()
-                .filter(|&&v| st[v as usize] == UNDECIDED)
-                .count()
-        };
-        exec.end_round();
-        counters.finish_round(scope, || (undecided - remaining) as u64);
-        undecided = remaining;
-        if remaining == 0 {
-            break;
-        }
-    }
-}
-
-/// Frontier form of [`luby_extend`]: identical marking/conflict/exclusion
-/// rounds, but the live set is kept as a compacted worklist
-/// (`sb_par::frontier`) instead of re-sweeping the full participant list,
-/// and the per-call `degree`/`marked` arrays are borrowed from `scratch`.
-///
-/// Byte-identical to [`luby_extend`] for any seed and thread count: the
-/// frontier holds exactly the undecided participants at every round start
-/// (a vertex that leaves `UNDECIDED` never returns), and every read of
-/// `marked`/`degree` in the dense form is guarded by an `UNDECIDED` status
-/// check, so the stale entries of decided vertices are never consulted.
-/// `hash3(seed, round, v)` uses the same round numbering. Only the counters
-/// differ: each round charges the live set, not the whole participant list.
-///
-/// Beyond skipping decided vertices, this form scans strictly fewer arcs:
-/// conflict resolution compacts down to the *marked* candidates (an
-/// unmarked vertex can never join, and the dense form's `survives` bails
-/// before touching its arcs), and exclusion runs as a scatter from the
-/// round's winners rather than a gather over every live vertex. The
-/// scatter is valid from round 2 on — a live vertex can only have acquired
-/// an IN neighbor through this round's winners, because the previous
-/// round's exclusion cleared all others. Round 1 gathers, so IN vertices
-/// decided by *earlier* extend calls (outside `allowed`) still exclude
-/// their neighbors exactly as in the dense form.
-pub(crate) fn luby_extend_frontier(
-    g: &Graph,
-    view: EdgeView<'_>,
-    status: &mut [u8],
-    allowed: Option<&[bool]>,
-    seed: u64,
-    counters: &Counters,
+    mode: FrontierMode,
     scratch: &mut Scratch,
 ) {
     let n = g.num_vertices();
@@ -295,28 +71,32 @@ pub(crate) fn luby_extend_frontier(
     let allow = |v: usize| allowed.is_none_or(|a| a[v]);
     let mut work = scratch.take_frontier();
     work.reset_range(n, |v| status[v as usize] == UNDECIDED && allow(v as usize));
+    // Residual degree and mark flag, refreshed each round.
     let mut degree = scratch.take_u32(n, 0);
     let marked = scratch.take_marks(n, false);
-    // Compacted marked-candidate / winner sets, reused across rounds.
+    // Compact's marked candidates and round winners, reused across rounds.
     let mut cand = scratch.take_frontier();
     let mut winners = scratch.take_frontier();
     let mut round = 0u64;
+    let mut undecided = work.len();
 
-    while !work.is_empty() {
+    while undecided > 0 {
         round += 1;
-        let live = work.len();
-        let scope = counters.round_scope(live as u64);
+        let scope = counters.round_scope(undecided as u64);
         counters.add_rounds(1);
-        counters.add_work(3 * live as u64);
+        counters.add_work(3 * work.len() as u64);
+        let remaining;
         {
             let st = as_atomic_u8(status);
-            let deg_at = sb_par::atomic::as_atomic_u32(&mut degree);
+            let deg_at = as_atomic_u32(&mut degree);
             let mk = &marked;
 
-            // Sweep 1: residual degree + probabilistic marking. Every live
-            // vertex is undecided by the frontier invariant, so the dense
-            // form's status check is vacuous here.
+            // Sweep 1: residual degree + probabilistic marking.
             work.for_each(|v| {
+                if st[v as usize].load(Ordering::Relaxed) != UNDECIDED {
+                    mk.put(v, false);
+                    return;
+                }
                 counters.add_edges(g.degree(v) as u64);
                 let mut d = 0u32;
                 for (w, _) in view.arcs(g, v) {
@@ -325,20 +105,27 @@ pub(crate) fn luby_extend_frontier(
                     }
                 }
                 deg_at[v as usize].store(d, Ordering::Relaxed);
-                let m = d == 0 // isolated in the residual graph: always a candidate
-                    || hash3(seed, round, v as u64) < u64::MAX / (2 * d.max(1) as u64);
+                // Isolated in the residual graph: always a candidate.
+                // Otherwise mark with probability 1/(2d).
+                let m = d == 0 || hash3(seed, round, v as u64) < u64::MAX / (2 * d.max(1) as u64);
                 mk.put(v, m);
             });
 
-            // Sweep 2: conflict resolution over the marked candidates only.
-            // An unmarked vertex can never join, so the selection skips both
-            // its closure invocation and its residual-degree charge.
-            work.select_marked_into(mk, &mut cand);
-            cand.for_each(|v| {
+            // Sweep 2: resolve marked conflicts — the endpoint of smaller
+            // (residual degree, id) unmarks, so the survivors are the local
+            // maxima among the marked and hence independent. Each visited
+            // vertex is billed its residual degree: every undecided one in
+            // `Dense`, only the marked candidates in `Compact`.
+            let resolve = |v: u32| {
                 counters.add_edges(deg_at[v as usize].load(Ordering::Relaxed) as u64);
+                if !mk.get(v) {
+                    return;
+                }
                 let dv = (deg_at[v as usize].load(Ordering::Relaxed), v);
                 let beaten = view.arcs(g, v).any(|(w, _)| {
                     let sw = st[w as usize].load(Ordering::Relaxed);
+                    // A neighbor that already turned IN this round blocks
+                    // (it was a marked competitor we may have missed).
                     sw == IN
                         || (sw == UNDECIDED
                             && allow(w as usize)
@@ -348,43 +135,62 @@ pub(crate) fn luby_extend_frontier(
                 if !beaten {
                     st[v as usize].store(IN, Ordering::Relaxed);
                 }
-            });
-
-            // Sweep 3: exclusion. Round 1 gathers over the live set so IN
-            // vertices left by earlier extend calls still exclude their
-            // neighbors; later rounds scatter from this round's winners —
-            // the only possible source of new IN neighbors.
-            if round == 1 {
-                work.for_each(|v| {
-                    if st[v as usize].load(Ordering::Relaxed) != UNDECIDED {
-                        return;
+            };
+            match mode {
+                FrontierMode::Dense => work.for_each(|v| {
+                    if st[v as usize].load(Ordering::Relaxed) == UNDECIDED {
+                        resolve(v);
                     }
-                    if view
-                        .arcs(g, v)
-                        .any(|(w, _)| st[w as usize].load(Ordering::Relaxed) == IN)
-                    {
-                        st[v as usize].store(OUT, Ordering::Relaxed);
-                    }
-                });
-            } else {
-                cand.select_into(
-                    |v| st[v as usize].load(Ordering::Relaxed) == IN,
-                    &mut winners,
-                );
-                winners.for_each(|u| {
-                    counters.add_edges(g.degree(u) as u64);
-                    for (w, _) in view.arcs(g, u) {
-                        if st[w as usize].load(Ordering::Relaxed) == UNDECIDED && allow(w as usize)
-                        {
-                            st[w as usize].store(OUT, Ordering::Relaxed);
-                        }
-                    }
-                });
+                }),
+                FrontierMode::Compact => {
+                    work.select_marked_into(mk, &mut cand);
+                    cand.for_each(resolve);
+                }
             }
+
+            // Sweep 3: exclusion. A gather over the list drops every
+            // undecided vertex with an IN neighbor and reports whether `v`
+            // is still undecided. `Compact` scatters from the winners after
+            // round 1, then compacts; `Dense` counts what the gather left.
+            let gather = |v: u32| {
+                if st[v as usize].load(Ordering::Relaxed) != UNDECIDED {
+                    return false;
+                }
+                let hit = view
+                    .arcs(g, v)
+                    .any(|(w, _)| st[w as usize].load(Ordering::Relaxed) == IN);
+                if hit {
+                    st[v as usize].store(OUT, Ordering::Relaxed);
+                }
+                !hit
+            };
+            remaining = match mode {
+                FrontierMode::Dense => work.as_slice().par_iter().filter(|&&v| gather(v)).count(),
+                FrontierMode::Compact => {
+                    if round == 1 {
+                        work.for_each(|v| {
+                            gather(v);
+                        });
+                    } else {
+                        let is_in = |v: u32| st[v as usize].load(Ordering::Relaxed) == IN;
+                        cand.select_into(is_in, &mut winners);
+                        winners.for_each(|u| {
+                            counters.add_edges(g.degree(u) as u64);
+                            for (w, _) in view.arcs(g, u) {
+                                let sw = &st[w as usize];
+                                if sw.load(Ordering::Relaxed) == UNDECIDED && allow(w as usize) {
+                                    sw.store(OUT, Ordering::Relaxed);
+                                }
+                            }
+                        });
+                    }
+                    work.compact(|v| st[v as usize].load(Ordering::Relaxed) == UNDECIDED);
+                    work.len()
+                }
+            };
         }
-        let st_now: &[u8] = status;
-        work.compact(|v| st_now[v as usize] == UNDECIDED);
-        counters.finish_round(scope, || (live - work.len()) as u64);
+        counters.finish_round(scope, || (undecided - remaining) as u64);
+        undecided = remaining;
     }
     scratch.recycle_u32(degree);
     scratch.recycle_marks(marked);
@@ -393,21 +199,18 @@ pub(crate) fn luby_extend_frontier(
     scratch.recycle_frontier(work);
 }
 
-/// Frontier form of [`luby_extend_bsp`]: the same per-round kernels,
-/// launched over the compacted live worklist, with the dense
-/// termination-count kernel replaced by the compaction pass. Byte-identical
-/// outputs to [`luby_extend_bsp`] (same argument as
-/// [`luby_extend_frontier`]); kernel launch counts match the dense form
-/// (four per round), but conflict resolution launches over the marked
-/// candidates and exclusion scatters from the round's winners (round 1
-/// gathers, as in [`luby_extend_frontier`]).
-pub(crate) fn luby_extend_bsp_frontier(
+/// Flat bulk-synchronous form of [`luby_extend`] for the GPU-sim executor:
+/// the same rounds as four kernels (mark, resolve, exclude, and a count or
+/// compaction over the list), in either frontier mode (see module docs).
+#[allow(clippy::too_many_arguments)]
+pub fn luby_extend_bsp(
     g: &Graph,
     view: EdgeView<'_>,
     status: &mut [u8],
     allowed: Option<&[bool]>,
     seed: u64,
     exec: &BspExecutor,
+    mode: FrontierMode,
     scratch: &mut Scratch,
 ) {
     let n = g.num_vertices();
@@ -420,21 +223,25 @@ pub(crate) fn luby_extend_bsp_frontier(
     let mut cand = scratch.take_frontier();
     let mut winners = scratch.take_frontier();
     let mut round = 0u64;
+    let mut undecided = work.len();
     let counters = exec.counters();
 
-    while !work.is_empty() {
+    while undecided > 0 {
         round += 1;
-        let live = work.len();
-        let scope = counters.round_scope(live as u64);
+        let scope = counters.round_scope(undecided as u64);
         {
             let st = as_atomic_u8(status);
-            let deg_at = sb_par::atomic::as_atomic_u32(&mut degree);
+            let deg_at = as_atomic_u32(&mut degree);
             let mk = &marked;
 
             // Kernel 1: residual degree + probabilistic marking.
             exec.kernel_over(work.as_slice(), |v| {
                 let vi = v as usize;
-                exec.counters().add_edges(g.degree(v) as u64);
+                if st[vi].load(Ordering::Relaxed) != UNDECIDED {
+                    mk.put(v, false);
+                    return;
+                }
+                counters.add_edges(g.degree(v) as u64);
                 let mut d = 0u32;
                 for (w, _) in view.arcs(g, v) {
                     if st[w as usize].load(Ordering::Relaxed) == UNDECIDED && allow(w as usize) {
@@ -446,13 +253,13 @@ pub(crate) fn luby_extend_bsp_frontier(
                 mk.put(v, m);
             });
 
-            // Kernel 2: conflict resolution, launched over the marked
-            // candidates only (an unmarked vertex can never join).
-            work.select_marked_into(mk, &mut cand);
-            exec.kernel_over(cand.as_slice(), |v| {
+            // Kernel 2: conflict resolution — local maxima among the marked
+            // (by residual degree, then id) join the set. `Dense` launches
+            // over the list and skips decided and unmarked vertices;
+            // `Compact` launches over the marked candidates only.
+            let resolve = |v: u32| {
                 let vi = v as usize;
-                exec.counters()
-                    .add_edges(deg_at[vi].load(Ordering::Relaxed) as u64);
+                counters.add_edges(deg_at[vi].load(Ordering::Relaxed) as u64);
                 let dv = (deg_at[vi].load(Ordering::Relaxed), v);
                 let beaten = view.arcs(g, v).any(|(w, _)| {
                     let sw = st[w as usize].load(Ordering::Relaxed);
@@ -465,18 +272,29 @@ pub(crate) fn luby_extend_bsp_frontier(
                 if !beaten {
                     st[vi].store(IN, Ordering::Relaxed);
                 }
-            });
+            };
+            match mode {
+                FrontierMode::Dense => exec.kernel_over(work.as_slice(), |v| {
+                    if st[v as usize].load(Ordering::Relaxed) == UNDECIDED && mk.get(v) {
+                        resolve(v);
+                    }
+                }),
+                FrontierMode::Compact => {
+                    work.select_marked_into(mk, &mut cand);
+                    exec.kernel_over(cand.as_slice(), resolve);
+                }
+            }
 
-            // Kernel 3: exclusion — round 1 gathers (stale IN vertices from
-            // earlier extend calls exclude too), later rounds scatter from
-            // the winners.
-            if round == 1 {
+            // Kernel 3: exclusion — a gather over the list in `Dense` and in
+            // round 1 of `Compact` (IN vertices from earlier extend calls
+            // exclude too), later a scatter from the round's winners.
+            if mode == FrontierMode::Dense || round == 1 {
                 exec.kernel_over(work.as_slice(), |v| {
                     let vi = v as usize;
                     if st[vi].load(Ordering::Relaxed) != UNDECIDED {
                         return;
                     }
-                    exec.counters().add_edges(g.degree(v) as u64);
+                    counters.add_edges(g.degree(v) as u64);
                     if view
                         .arcs(g, v)
                         .any(|(w, _)| st[w as usize].load(Ordering::Relaxed) == IN)
@@ -485,29 +303,38 @@ pub(crate) fn luby_extend_bsp_frontier(
                     }
                 });
             } else {
-                cand.select_into(
-                    |v| st[v as usize].load(Ordering::Relaxed) == IN,
-                    &mut winners,
-                );
+                let is_in = |v: u32| st[v as usize].load(Ordering::Relaxed) == IN;
+                cand.select_into(is_in, &mut winners);
                 exec.kernel_over(winners.as_slice(), |u| {
-                    exec.counters().add_edges(g.degree(u) as u64);
+                    counters.add_edges(g.degree(u) as u64);
                     for (w, _) in view.arcs(g, u) {
-                        if st[w as usize].load(Ordering::Relaxed) == UNDECIDED && allow(w as usize)
-                        {
-                            st[w as usize].store(OUT, Ordering::Relaxed);
+                        let sw = &st[w as usize];
+                        if sw.load(Ordering::Relaxed) == UNDECIDED && allow(w as usize) {
+                            sw.store(OUT, Ordering::Relaxed);
                         }
                     }
                 });
             }
         }
 
-        // Kernel 4: frontier compaction — takes the place of the dense
-        // form's termination-count kernel.
-        exec.counters().add_kernel(live as u64);
-        let st_now: &[u8] = status;
-        work.compact(|v| st_now[v as usize] == UNDECIDED);
+        // Kernel 4: over the list — the termination count (`Dense`) or the
+        // frontier compaction (`Compact`).
+        counters.add_kernel(work.len() as u64);
+        let st: &[u8] = status;
+        let remaining = match mode {
+            FrontierMode::Dense => work
+                .as_slice()
+                .iter()
+                .filter(|&&v| st[v as usize] == UNDECIDED)
+                .count(),
+            FrontierMode::Compact => {
+                work.compact(|v| st[v as usize] == UNDECIDED);
+                work.len()
+            }
+        };
         exec.end_round();
-        counters.finish_round(scope, || (live - work.len()) as u64);
+        counters.finish_round(scope, || (undecided - remaining) as u64);
+        undecided = remaining;
     }
     scratch.recycle_u32(degree);
     scratch.recycle_marks(marked);
@@ -584,11 +411,25 @@ mod tests {
         status.iter().map(|&s| s == IN).collect()
     }
 
+    /// CPU Luby on the full view from `st` in both modes, which must
+    /// agree; leaves the result in `st` and returns the dense counters.
+    fn luby(g: &Graph, st: &mut [u8], allowed: Option<&[bool]>, seed: u64) -> Counters {
+        let entry = st.to_vec();
+        let [dense, compact] = [FrontierMode::Dense, FrontierMode::Compact].map(|mode| {
+            let (mut out, c, s) = (entry.clone(), Counters::new(), &mut Scratch::new());
+            luby_extend(g, EdgeView::full(), &mut out, allowed, seed, &c, mode, s);
+            (out, c)
+        });
+        assert_eq!(dense.0, compact.0);
+        st.copy_from_slice(&dense.0);
+        dense.1
+    }
+
     #[test]
     fn path_mis_valid() {
         let g = from_edge_list(20, &(0..19u32).map(|i| (i, i + 1)).collect::<Vec<_>>());
         let mut st = vec![UNDECIDED; 20];
-        luby_extend(&g, EdgeView::full(), &mut st, None, 3, &Counters::new());
+        luby(&g, &mut st, None, 3);
         check_maximal_independent_set(&g, &in_set_of(&st)).unwrap();
         assert!(st.iter().all(|&s| s != UNDECIDED));
     }
@@ -597,7 +438,7 @@ mod tests {
     fn isolated_vertices_always_join() {
         let g = from_edge_list(5, &[(0, 1)]);
         let mut st = vec![UNDECIDED; 5];
-        luby_extend(&g, EdgeView::full(), &mut st, None, 1, &Counters::new());
+        luby(&g, &mut st, None, 1);
         assert_eq!(st[2], IN);
         assert_eq!(st[3], IN);
         assert_eq!(st[4], IN);
@@ -608,14 +449,7 @@ mod tests {
         let g = from_edge_list(4, &[(0, 1), (1, 2), (2, 3)]);
         let allowed = vec![false, true, true, false];
         let mut st = vec![UNDECIDED; 4];
-        luby_extend(
-            &g,
-            EdgeView::full(),
-            &mut st,
-            Some(&allowed),
-            2,
-            &Counters::new(),
-        );
+        luby(&g, &mut st, Some(&allowed), 2);
         assert_eq!(st[0], UNDECIDED);
         assert_eq!(st[3], UNDECIDED);
         // Among {1, 2}: exactly one joins (they are adjacent).
@@ -629,9 +463,8 @@ mod tests {
             n as usize,
             &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>(),
         );
-        let c = Counters::new();
         let mut st = vec![UNDECIDED; n as usize];
-        luby_extend(&g, EdgeView::full(), &mut st, None, 5, &c);
+        let c = luby(&g, &mut st, None, 5);
         check_maximal_independent_set(&g, &in_set_of(&st)).unwrap();
         assert!(
             c.rounds() < 60,
@@ -652,25 +485,16 @@ mod tests {
             let g = from_edge_list(n, &edges);
 
             let mut st1 = vec![UNDECIDED; n];
-            luby_extend(
-                &g,
-                EdgeView::full(),
-                &mut st1,
-                None,
-                trial,
-                &Counters::new(),
-            );
+            luby(&g, &mut st1, None, trial);
             check_maximal_independent_set(&g, &in_set_of(&st1)).unwrap();
 
-            let mut st2 = vec![UNDECIDED; n];
-            luby_extend_bsp(
-                &g,
-                EdgeView::full(),
-                &mut st2,
-                None,
-                trial,
-                &BspExecutor::new(),
-            );
+            let [st2, bsp_compact] = [FrontierMode::Dense, FrontierMode::Compact].map(|mode| {
+                let (mut st, s) = (vec![UNDECIDED; n], &mut Scratch::new());
+                let exec = BspExecutor::new();
+                luby_extend_bsp(&g, EdgeView::full(), &mut st, None, trial, &exec, mode, s);
+                st
+            });
+            assert_eq!(st2, bsp_compact);
             check_maximal_independent_set(&g, &in_set_of(&st2)).unwrap();
 
             let mut st3 = vec![UNDECIDED; n];
@@ -696,9 +520,8 @@ mod tests {
             n as usize,
             &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>(),
         );
-        let c_classic = Counters::new();
         let mut a = vec![UNDECIDED; n as usize];
-        luby_extend(&g, EdgeView::full(), &mut a, None, 9, &c_classic);
+        let c_classic = luby(&g, &mut a, None, 9);
         check_maximal_independent_set(&g, &in_set_of(&a)).unwrap();
         let c_modern = Counters::new();
         let mut b = vec![UNDECIDED; n as usize];
@@ -718,7 +541,7 @@ mod tests {
         let mut st = vec![UNDECIDED; 5];
         st[0] = IN;
         st[1] = OUT;
-        luby_extend(&g, EdgeView::full(), &mut st, None, 9, &Counters::new());
+        luby(&g, &mut st, None, 9);
         check_maximal_independent_set(&g, &in_set_of(&st)).unwrap();
         assert_eq!(st[0], IN, "pre-decided vertices untouched");
     }
@@ -728,9 +551,8 @@ mod tests {
         // The whole point: every round charges n work items even when only
         // a few vertices remain undecided.
         let g = from_edge_list(100, &(0..99u32).map(|i| (i, i + 1)).collect::<Vec<_>>());
-        let c = Counters::new();
         let mut st = vec![UNDECIDED; 100];
-        luby_extend(&g, EdgeView::full(), &mut st, None, 4, &c);
+        let c = luby(&g, &mut st, None, 4);
         let s = c.snapshot();
         assert!(s.work_items >= 2 * 100 * s.rounds);
     }
@@ -744,28 +566,13 @@ mod tests {
         let view = EdgeView::full();
 
         let mut first = vec![0u8; n];
-        luby_extend_frontier(
-            &g,
-            view,
-            &mut first,
-            None,
-            7,
-            &Counters::new(),
-            &mut scratch,
-        );
+        let (c, mode) = (Counters::new(), FrontierMode::Compact);
+        luby_extend(&g, view, &mut first, None, 7, &c, mode, &mut scratch);
         let after_first = scratch.stats();
         assert!(after_first.fresh_allocs > 0, "first solve must allocate");
 
         let mut second = vec![0u8; n];
-        luby_extend_frontier(
-            &g,
-            view,
-            &mut second,
-            None,
-            7,
-            &Counters::new(),
-            &mut scratch,
-        );
+        luby_extend(&g, view, &mut second, None, 7, &c, mode, &mut scratch);
         let after_second = scratch.stats();
         assert_eq!(
             after_second.fresh_allocs, after_first.fresh_allocs,

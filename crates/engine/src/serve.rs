@@ -268,6 +268,8 @@ struct Shared {
     /// Monotone stamp source for `StreamSlot::touched`.
     stream_clock: AtomicU64,
     repairs: RepairCounts,
+    /// Connection reader threads still running, or finished since the
+    /// last accept (`listen_loop` joins those); joined at shutdown.
     conns: Mutex<Vec<JoinHandle<()>>>,
     metrics: ServeMetrics,
     started: Instant,
@@ -936,7 +938,13 @@ fn listen_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         next_conn += 1;
         let shared2 = shared.clone();
         let handle = thread::spawn(move || serve_connection(&shared2, stream, conn_id));
-        lock(&shared.conns).push(handle);
+        // Join the readers of closed connections as new ones arrive: an
+        // exited thread that is never joined keeps its stack mapped.
+        let mut conns = lock(&shared.conns);
+        for done in conns.extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
+        }
+        conns.push(handle);
     }
 }
 
@@ -1127,5 +1135,44 @@ impl Client {
     /// Ask the server to shut down (acknowledged before it stops).
     pub fn shutdown(&mut self) -> Result<Reply, String> {
         self.request("{\"op\":\"shutdown\"}")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Poll `done` every few milliseconds for up to ten seconds.
+    fn wait_until(mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn closed_connection_threads_are_reaped() {
+        let server = Server::spawn(ServeConfig::default()).expect("bind loopback");
+        let ping = || {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+            let mut line = String::new();
+            BufReader::new(&stream).read_line(&mut line).unwrap();
+            assert!(line.contains("ping"), "unexpected reply {line:?}");
+            stream
+        };
+        for _ in 0..64 {
+            drop(ping());
+        }
+        let conns = || lock(&server.shared.conns);
+        wait_until(|| conns().iter().all(JoinHandle::is_finished));
+        // The next accept joins every finished reader before it pushes.
+        let open = ping();
+        wait_until(|| conns().len() <= 2);
+        let held = conns().len();
+        assert!(held <= 2, "{held} handles held after 64 closed connections");
+        drop(open);
+        server.shutdown();
+        server.join();
     }
 }

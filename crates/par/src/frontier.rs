@@ -1,12 +1,11 @@
 //! Active-frontier compaction and scratch-arena reuse.
 //!
 //! Every solver in the study is a synchronous round loop, and by the later
-//! rounds only a small fraction of vertices is still live. The dense
-//! formulations re-sweep the full participant list each round (the paper's
-//! baselines do exactly that — see `sb_core::mis::luby`); the frontier
-//! formulations instead keep the live set as a flat worklist and *compact*
-//! it between rounds, so each round's sweeps touch only still-live
-//! vertices or edges.
+//! rounds only a small fraction of vertices is still live. In dense mode a
+//! solver re-sweeps the full participant list each round (the paper's
+//! baselines do exactly that — see `sb_core::mis::luby`); in compact mode
+//! it keeps the live set as a flat worklist and *compacts* it between
+//! rounds, so each round's sweeps touch only still-live vertices or edges.
 //!
 //! Three pieces live here:
 //!

@@ -226,10 +226,21 @@ fn runstats_carry_the_scratch_arena_snapshot() {
         run.stats.scratch.fresh_allocs > 0,
         "a compact-mode run must report its arena allocations via RunStats"
     );
-    let dense = mis(&g, Algo::Baseline, Arch::Cpu, FrontierMode::Dense);
-    // Dense baselines may legitimately use no scratch; the field still
-    // reads as an explicit zero rather than being absent.
-    let _ = dense.stats.scratch.reuses;
+    // Dense runs the same solver bodies, so its baselines borrow from the
+    // arena too.
+    let dense = FrontierMode::Dense;
+    let opts = SolveOpts::with_mode(dense);
+    let color = vertex_coloring(&g, Algo::Baseline, None, Arch::Cpu, 7, &opts);
+    for (problem, stats) in [
+        ("mm", mm(&g, Algo::Baseline, Arch::Cpu, dense).stats),
+        ("color", color.stats),
+        ("mis", mis(&g, Algo::Baseline, Arch::Cpu, dense).stats),
+    ] {
+        assert!(
+            stats.scratch.fresh_allocs > 0,
+            "a dense {problem} run must report its arena allocations via RunStats"
+        );
+    }
 }
 
 // ---- randomized Frontier equivalence against a boolean-array model ----

@@ -282,8 +282,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn solution_digests_and_counters_are_pinned() {
     // Every solver × arch × frontier mode on two tiny suite graphs of
     // different shape: the digest of the rendered solution plus the
-    // deterministic work counters. Runs at one thread, where every solver
-    // (VB coloring included) is interleaving-free.
+    // deterministic work counters. The golden lines come from one thread,
+    // where every solver (VB coloring included) is interleaving-free. A
+    // problem that is byte-stable at the pool width `SBREAK_TEST_THREADS`
+    // (default 4; every problem but COLOR) must print the same line there,
+    // so a counter charged in an order-dependent place fails here too.
+    let wide = std::env::var("SBREAK_TEST_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or(4)
+        .max(1);
     let mut solvers = Vec::new();
     for problem in ["mm", "color", "mis"] {
         for algo in ["baseline", "bridge", "rand", "degk", "bicc"] {
@@ -301,18 +309,26 @@ fn solution_digests_and_counters_are_pinned() {
             for arch in [Arch::Cpu, Arch::GpuSim] {
                 for mode in [FrontierMode::Dense, FrontierMode::Compact] {
                     let opts = SolveOpts::with_mode(mode);
-                    let (solution, stats) =
-                        sb_par::exec::with_threads(1, || solve(&g, solver, None, arch, 7, &opts));
-                    solution.verify(&g).unwrap();
-                    let c = &stats.counters;
-                    out.push_str(&format!(
-                        "{name} {}@{arch}/{mode} {:016x} rounds={} edges={} launches={}\n",
-                        solver.label(),
-                        fnv1a(solution.render().as_bytes()),
-                        c.rounds,
-                        c.edges_scanned,
-                        c.kernel_launches
-                    ));
+                    let line = |threads| {
+                        let (solution, stats) = sb_par::exec::with_threads(threads, || {
+                            solve(&g, solver, None, arch, 7, &opts)
+                        });
+                        solution.verify(&g).unwrap();
+                        let c = &stats.counters;
+                        format!(
+                            "{name} {}@{arch}/{mode} {:016x} rounds={} edges={} launches={}\n",
+                            solver.label(),
+                            fnv1a(solution.render().as_bytes()),
+                            c.rounds,
+                            c.edges_scanned,
+                            c.kernel_launches
+                        )
+                    };
+                    let one = line(1);
+                    if wide > 1 && solver.problem.byte_stable_at(wide) {
+                        assert_eq!(line(wide), one, "the line differs at {wide} threads");
+                    }
+                    out.push_str(&one);
                 }
             }
         }

@@ -43,7 +43,8 @@ fn vain_tendency_is_the_tie_break_rule() {
 
     let c_det = Counters::new();
     let mut m1 = vec![INVALID; g.num_vertices()];
-    gm_extend(&g, EdgeView::full(), &mut m1, None, &c_det);
+    let (mode, scratch) = (FrontierMode::Dense, &mut Scratch::new());
+    gm_extend(&g, EdgeView::full(), &mut m1, None, &c_det, mode, scratch);
 
     let c_rnd = Counters::new();
     let mut m2 = vec![INVALID; g.num_vertices()];

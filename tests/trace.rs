@@ -255,7 +255,7 @@ proptest! {
         let sink = Arc::new(TraceSink::enabled());
         let c = Counters::with_trace(sink.clone());
         let mut mate = vec![INVALID; g.num_vertices()];
-        gm_extend(&g, EdgeView::full(), &mut mate, None, &c);
+        gm_extend(&g, EdgeView::full(), &mut mate, None, &c, FrontierMode::Dense, &mut Scratch::new());
         // GM drains its worklist completely: every initially-live vertex
         // (degree > 0) is eventually settled — matched or dropped.
         let live = g.vertices().filter(|&v| g.degree(v) > 0).count() as u64;
@@ -282,7 +282,8 @@ proptest! {
         let c = Counters::with_trace(sink.clone());
         let mut color = vec![INVALID; g.num_vertices()];
         let worklist: Vec<VertexId> = g.vertices().collect();
-        vb_extend(&g, EdgeView::full(), &mut color, worklist, g.max_degree() + 1, 0, &c);
+        let window = g.max_degree() + 1;
+        vb_extend(&g, EdgeView::full(), &mut color, worklist, window, 0, &c, &mut Scratch::new());
         // VB colors every worklist vertex, so all n are settled.
         assert_rounds_account_for(&sink, &c, g.num_vertices() as u64)?;
     }
@@ -294,7 +295,8 @@ proptest! {
         let sink = Arc::new(TraceSink::enabled());
         let c = Counters::with_trace(sink.clone());
         let mut status = vec![UNDECIDED; g.num_vertices()];
-        luby_extend(&g, EdgeView::full(), &mut status, None, seed, &c);
+        let (mode, scratch) = (FrontierMode::Dense, &mut Scratch::new());
+        luby_extend(&g, EdgeView::full(), &mut status, None, seed, &c, mode, scratch);
         // Luby decides IN/OUT for every participant, so all n are settled.
         assert_rounds_account_for(&sink, &c, g.num_vertices() as u64)?;
     }
