@@ -1,28 +1,28 @@
-//! Job scheduling: per-job watchdog, cache admission, batch driver.
+//! Job scheduling: cache admission, the stop, the batch driver.
 //!
-//! Each job runs on its own worker thread so the coordinator can enforce a
-//! per-job timeout without cooperation from the solver. Cache admission is
-//! coordinator-side and happens *only after* a job completes cleanly: a
-//! timed-out or failed job inserts nothing, so a wedged solver can never
-//! poison the caches for the jobs behind it. (The abandoned worker keeps
-//! running detached until its solve returns; its results are discarded.)
+//! Each job runs inline on the thread that owns it — the `sbreak batch`
+//! loop or a serve worker — inside [`sb_par::stop::run_stoppable`]. Once
+//! its timeout or the caller's deadline passes, or its cancel token fires,
+//! the job stops at its next round check and is answered `timeout` or
+//! `cancelled`; any other panic is answered `failed`. Cache admission
+//! happens *only after* a job completes cleanly and verifies: a stopped or
+//! failed job inserts nothing, so it can never poison the caches for the
+//! jobs behind it.
 
 use crate::cache::DEFAULT_TENANT;
 use crate::engine::{DecompKey, Engine, GraphSource};
 use crate::fingerprint::fingerprint_graph;
 use crate::jobs::JobSpec;
 use crate::report::BatchReport;
-use crate::session::CancelToken;
-use sb_core::common::{RunStats, SolveOpts};
+use sb_core::common::SolveOpts;
 use sb_core::solver::{self, Algo, Decomposition, Problem, Solution};
 use sb_graph::csr::Graph;
 use sb_par::counters::Stopwatch;
-use sb_par::exec::with_threads;
+use sb_par::exec::{current_threads, with_threads};
+use sb_par::stop::{run_stoppable, CancelToken, Stopped};
 use sb_trace::TraceSink;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a job ended.
@@ -30,7 +30,8 @@ use std::time::{Duration, Instant};
 pub enum JobOutcome {
     /// Solved and verified.
     Ok,
-    /// The watchdog fired before the worker finished.
+    /// The job's timeout or its caller's deadline passed, and the job
+    /// stopped at its next round check.
     TimedOut,
     /// The job errored (load failure, solver panic, failed verification).
     Failed(String),
@@ -95,28 +96,16 @@ pub struct BatchOptions {
     pub trace_dir: Option<PathBuf>,
 }
 
-/// What a worker sends back on success.
-pub(crate) struct WorkerDone {
-    solution: Solution,
-    stats: RunStats,
-    verify: Result<(), String>,
-    graph: Arc<Graph>,
-    fingerprint: u64,
-    loaded_graph: bool,
-    decomp: Option<Arc<Decomposition>>,
-    computed_decomp: bool,
-}
-
 /// Cache-probe result for one job: what the engine already holds. Taken
-/// under the engine lock (or `&mut Engine`), then released while the
-/// worker computes.
+/// under the engine lock (or `&mut Engine`), then released while the job
+/// computes.
 pub(crate) struct JobProbe {
     cached_graph: Option<(Arc<Graph>, u64)>,
     cached_decomp: Option<Arc<Decomposition>>,
     fingerprint_seed: u64,
 }
 
-/// How the coordinator may reach the engine: directly (`&mut Engine`, the
+/// How a job may reach the engine: directly (`&mut Engine`, the
 /// batch path) or through a shared lock ([`crate::session::SharedEngine`],
 /// the serve path). The probe→compute→commit pipeline in
 /// [`run_job_shared`] only touches the engine through this, so the serve
@@ -151,41 +140,9 @@ impl Engine {
         }
     }
 
-    /// Admit a cleanly-finished job's products into the caches, charged to
-    /// `tenant`. Only called after verification succeeded — a timed-out,
-    /// failed, or cancelled job never reaches this point.
-    pub(crate) fn commit_job(
-        &mut self,
-        tenant: &str,
-        src_key: &str,
-        algo: Algo,
-        seed: u64,
-        done: &WorkerDone,
-    ) {
-        if done.loaded_graph {
-            let bytes = done.graph.resident_bytes() as u64;
-            self.graphs.insert_weighted_for(
-                tenant,
-                src_key.to_string(),
-                (done.graph.clone(), done.fingerprint),
-                bytes,
-            );
-        }
-        if done.computed_decomp {
-            if let Some(d) = &done.decomp {
-                let bytes = d.approx_bytes();
-                self.decomps.insert_weighted_for(
-                    tenant,
-                    DecompKey::new(done.fingerprint, algo, seed),
-                    d.clone(),
-                    bytes,
-                );
-            }
-        }
-    }
-
-    /// Run one job through the caches with a watchdog. Cache inserts happen
-    /// in the coordinator, after a clean finish — never from the worker.
+    /// Run one job through the caches, inline on this thread, stopping it at
+    /// its next round check once its `timeout_ms` passes. Cache inserts
+    /// happen only after a clean, verified finish.
     pub fn run_job(&mut self, job: &JobSpec, trace: Option<Arc<TraceSink>>) -> JobRecord {
         run_job_shared(self, DEFAULT_TENANT, job, trace, None, None)
     }
@@ -225,144 +182,14 @@ impl Engine {
     }
 }
 
-/// How [`wait_for_worker`] ended.
-pub(crate) enum WaitVerdict {
-    /// The worker reported (success or error) in time.
-    Finished(Box<Result<WorkerDone, String>>),
-    /// The watchdog budget elapsed first.
-    TimedOut,
-    /// The job's cancel token fired first.
-    Cancelled,
-    /// The worker vanished without reporting.
-    Died,
-}
-
-/// Spawn the solve worker for one job. The worker loads/computes whatever
-/// the probe missed, runs the solver, and self-verifies; it never touches
-/// the caches.
-pub(crate) fn spawn_worker(
-    src: GraphSource,
-    probe: JobProbe,
-    job: JobSpec,
-    opts: SolveOpts,
-) -> mpsc::Receiver<Result<WorkerDone, String>> {
-    let JobProbe {
-        cached_graph,
-        cached_decomp,
-        fingerprint_seed,
-    } = probe;
-    let (tx, rx) = mpsc::channel::<Result<WorkerDone, String>>();
-    thread::spawn(move || {
-        let run = || -> Result<WorkerDone, String> {
-            let (graph, fingerprint, loaded_graph) = match cached_graph {
-                Some((g, fp)) => (g, fp, false),
-                None => {
-                    let g = Arc::new(src.load()?);
-                    let fp = fingerprint_graph(&g, fingerprint_seed);
-                    (g, fp, true)
-                }
-            };
-            let work = || {
-                let algo = job.solver.algo;
-                let (decomp, computed_decomp, decompose_time) = match cached_decomp {
-                    Some(d) => (Some(d), false, Duration::ZERO),
-                    None => {
-                        // Counted apart from the solve, as on the
-                        // engine's synchronous path.
-                        let (d, dt) =
-                            Decomposition::compute(&graph, algo, job.seed, &opts.counters());
-                        (d.map(Arc::new), algo != Algo::Baseline, dt)
-                    }
-                };
-                let (solution, mut stats) = solver::solve(
-                    &graph,
-                    job.solver,
-                    decomp.as_deref(),
-                    job.arch,
-                    job.seed,
-                    &opts,
-                );
-                stats.decompose_time = decompose_time;
-                (decomp, computed_decomp, solution, stats)
-            };
-            let (decomp, computed_decomp, solution, stats) = match job.threads {
-                Some(t) => with_threads(t, work),
-                None => work(),
-            };
-            let verify = solution.verify(&graph);
-            Ok(WorkerDone {
-                solution,
-                stats,
-                verify,
-                graph,
-                fingerprint,
-                loaded_graph,
-                decomp,
-                computed_decomp,
-            })
-        };
-        let result = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|p| {
-            let msg = p
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| p.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".into());
-            Err(format!("solver panicked: {msg}"))
-        });
-        let _ = tx.send(result);
-    });
-    rx
-}
-
-/// Block until the worker reports, the watchdog budget elapses, or the
-/// cancel token fires. With a cancel token the wait is sliced so a
-/// cancellation is observed within ~10 ms; without one, a single blocking
-/// receive (the original batch behavior).
-pub(crate) fn wait_for_worker(
-    rx: &mpsc::Receiver<Result<WorkerDone, String>>,
-    timeout: Option<Duration>,
-    cancel: Option<&CancelToken>,
-) -> WaitVerdict {
-    const SLICE: Duration = Duration::from_millis(10);
-    let deadline = timeout.map(|t| Instant::now() + t);
-    loop {
-        if cancel.is_some_and(|c| c.is_cancelled()) {
-            return WaitVerdict::Cancelled;
-        }
-        let wait = match deadline {
-            Some(d) => {
-                let remaining = d.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return WaitVerdict::TimedOut;
-                }
-                if cancel.is_some() {
-                    remaining.min(SLICE)
-                } else {
-                    remaining
-                }
-            }
-            None => {
-                if cancel.is_none() {
-                    return match rx.recv() {
-                        Ok(r) => WaitVerdict::Finished(Box::new(r)),
-                        Err(_) => WaitVerdict::Died,
-                    };
-                }
-                SLICE
-            }
-        };
-        match rx.recv_timeout(wait) {
-            Ok(r) => return WaitVerdict::Finished(Box::new(r)),
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => return WaitVerdict::Died,
-        }
-    }
-}
-
 /// The probe→compute→commit job pipeline shared by [`Engine::run_job`]
 /// (direct access, no cancellation) and the serve path (locked access,
 /// deadline + cancel token). Cache state is only touched inside
 /// `access.with_engine` closures.
+///
+/// The job runs on the calling thread under one stop: the tighter of its
+/// own `timeout_ms` and the caller's remaining `deadline`, both counted
+/// from now, and `cancel`. Both are checked before anything else runs.
 pub(crate) fn run_job_shared<A: EngineAccess>(
     access: &mut A,
     tenant: &str,
@@ -371,7 +198,11 @@ pub(crate) fn run_job_shared<A: EngineAccess>(
     cancel: Option<&CancelToken>,
     deadline: Option<Duration>,
 ) -> JobRecord {
-    let sw = Stopwatch::start();
+    let started = Instant::now();
+    let budget = match (job.timeout_ms.map(Duration::from_millis), deadline) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    };
     let config = format!("{}@{}/{}", job.solver.label(), job.arch, job.frontier);
     let mut record = JobRecord {
         label: job.label.clone(),
@@ -389,23 +220,38 @@ pub(crate) fn run_job_shared<A: EngineAccess>(
         solution: None,
         fingerprint: None,
     };
-    let finish = |mut record: JobRecord| {
-        record.wall_ms = sw.elapsed().as_secs_f64() * 1e3;
-        record
-    };
-    if cancel.is_some_and(|c| c.is_cancelled()) {
-        record.outcome = JobOutcome::Cancelled;
-        record.detail = "cancelled before start".into();
-        return finish(record);
-    }
-    let src = match GraphSource::parse(&job.graph, job.scale, job.effective_graph_seed()) {
-        Ok(src) => src,
-        Err(e) => {
-            record.outcome = JobOutcome::Failed(e.clone());
-            record.detail = e;
-            return finish(record);
+    let run = run_stoppable(budget.map(|b| started + b), cancel, || {
+        run_pipeline(access, tenant, job, trace, &mut record)
+    });
+    let failure = match run {
+        Ok(Ok(())) => None,
+        Ok(Err(e)) | Err(Stopped::Failed(e)) => Some((JobOutcome::Failed(e.clone()), e)),
+        Err(Stopped::TimedOut) => {
+            let ms = budget.unwrap_or_default().as_millis();
+            Some((JobOutcome::TimedOut, format!("exceeded {ms} ms")))
         }
+        Err(Stopped::Cancelled) => Some((JobOutcome::Cancelled, "cancelled".into())),
     };
+    if let Some((outcome, detail)) = failure {
+        record.outcome = outcome;
+        record.detail = detail;
+    }
+    record.wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    record
+}
+
+/// The body of [`run_job_shared`]: resolve the source, probe the caches,
+/// load and fingerprint whatever the probe missed, decompose, solve,
+/// self-verify, and commit, filling `record` as it goes. Fields set before
+/// a stop (the source key, cache provenance) stay in the record.
+fn run_pipeline<A: EngineAccess>(
+    access: &mut A,
+    tenant: &str,
+    job: &JobSpec,
+    trace: Option<Arc<TraceSink>>,
+    record: &mut JobRecord,
+) -> Result<(), String> {
+    let src = GraphSource::parse(&job.graph, job.scale, job.effective_graph_seed())?;
     let src_key = src.key();
     record.graph = src_key.clone();
     let algo = job.solver.algo;
@@ -414,60 +260,60 @@ pub(crate) fn run_job_shared<A: EngineAccess>(
     if algo != Algo::Baseline {
         record.decomp_cached = Some(probe.cached_decomp.is_some());
     }
-
+    let (graph, fingerprint, loaded_graph) = match probe.cached_graph {
+        Some((g, fp)) => (g, fp, false),
+        None => {
+            let g = Arc::new(src.load()?);
+            let fp = fingerprint_graph(&g, probe.fingerprint_seed);
+            (g, fp, true)
+        }
+    };
     let opts = SolveOpts {
         trace,
         frontier: job.frontier,
     };
-    // The effective watchdog budget: the tighter of the job's own timeout
-    // and the caller's deadline (serve: time remaining on the request).
-    let budget_ms = match (job.timeout_ms, deadline.map(|d| d.as_millis() as u64)) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
+    let fresh_decomp = probe.cached_decomp.is_none();
+    let work = || {
+        let (decomp, decompose_time) = match probe.cached_decomp {
+            Some(d) => (Some(d), Duration::ZERO),
+            None => {
+                // Counted apart from the solve, as on the engine's
+                // synchronous path.
+                let (d, dt) = Decomposition::compute(&graph, algo, job.seed, &opts.counters());
+                (d.map(Arc::new), dt)
+            }
+        };
+        let decomp_ref = decomp.as_deref();
+        let (solution, stats) =
+            solver::solve(&graph, job.solver, decomp_ref, job.arch, job.seed, &opts);
+        (decomp, decompose_time, solution, stats)
     };
-    let rx = spawn_worker(src, probe, job.clone(), opts);
-    match wait_for_worker(&rx, budget_ms.map(Duration::from_millis), cancel) {
-        WaitVerdict::Finished(done) => match *done {
-            Ok(done) => {
-                record.decompose_ms = done.stats.decompose_time.as_secs_f64() * 1e3;
-                record.solve_ms = done.stats.solve_time.as_secs_f64() * 1e3;
-                match &done.verify {
-                    Ok(()) => {
-                        // Clean finish: only now may the caches learn
-                        // anything from this job.
-                        access
-                            .with_engine(|e| e.commit_job(tenant, &src_key, algo, job.seed, &done));
-                        record.detail = done.solution.summary();
-                        record.solution = Some(done.solution);
-                        record.fingerprint = Some(done.fingerprint);
-                    }
-                    Err(e) => {
-                        let msg = format!("verification failed: {e}");
-                        record.outcome = JobOutcome::Failed(msg.clone());
-                        record.detail = msg;
-                    }
-                }
-            }
-            Err(e) => {
-                record.outcome = JobOutcome::Failed(e.clone());
-                record.detail = e;
-            }
-        },
-        WaitVerdict::TimedOut => {
-            record.outcome = JobOutcome::TimedOut;
-            record.detail = format!("exceeded {} ms", budget_ms.unwrap_or(0));
+    let (decomp, decompose_time, solution, stats) = match job.threads {
+        Some(t) => with_threads(t, work),
+        None => work(),
+    };
+    record.decompose_ms = decompose_time.as_secs_f64() * 1e3;
+    record.solve_ms = stats.solve_time.as_secs_f64() * 1e3;
+    solution
+        .verify(&graph)
+        .map_err(|e| format!("verification failed: {e}"))?;
+    // Clean finish: only now may the caches learn anything from this job.
+    access.with_engine(|e| {
+        if loaded_graph {
+            let bytes = graph.resident_bytes() as u64;
+            e.graphs
+                .insert_weighted_for(tenant, src_key, (graph, fingerprint), bytes);
         }
-        WaitVerdict::Cancelled => {
-            record.outcome = JobOutcome::Cancelled;
-            record.detail = "cancelled".into();
+        if let Some(d) = decomp.filter(|_| fresh_decomp) {
+            let bytes = d.approx_bytes();
+            let key = DecompKey::new(fingerprint, algo, job.seed);
+            e.decomps.insert_weighted_for(tenant, key, d, bytes);
         }
-        WaitVerdict::Died => {
-            let msg = "worker thread died without reporting".to_string();
-            record.outcome = JobOutcome::Failed(msg.clone());
-            record.detail = msg;
-        }
-    }
-    finish(record)
+    });
+    record.detail = solution.summary();
+    record.solution = Some(solution);
+    record.fingerprint = Some(fingerprint);
+    Ok(())
 }
 
 /// Whether the cached and fresh runs of one job, both `ok` (so each
@@ -503,14 +349,10 @@ pub fn run_batch_compare(
         ..cfg
     });
     let fresh = fresh_engine.run_batch(jobs, &BatchOptions::default())?;
-    // A job runs at its own `threads` pin, else on the global pool: each
-    // worker is a fresh thread, outside any pool the caller installed.
-    let global_threads = thread::spawn(sb_par::exec::current_threads)
-        .join()
-        .unwrap_or(1);
+    // A job runs at its own `threads` pin, else in the caller's pool.
     for ((job, cached), fresh) in jobs.iter().zip(&mut report.jobs).zip(&fresh.jobs) {
         cached.fresh_wall_ms = Some(fresh.wall_ms);
-        let threads = job.threads.unwrap_or(global_threads);
+        let threads = job.threads.unwrap_or_else(current_threads);
         if cached.solution.is_some()
             && fresh.solution.is_some()
             && !cached_agrees_with_fresh(job.solver.problem, threads, cached, fresh)
@@ -643,7 +485,7 @@ algo = "degk"
     fn timeout_reports_and_does_not_poison_cache() {
         let mut jobs = parse_jobs(BATCH, "t").unwrap();
         jobs.truncate(1);
-        jobs[0].timeout_ms = Some(0); // fires before any worker can finish
+        jobs[0].timeout_ms = Some(0); // fires before the job starts
         let mut engine = Engine::with_cap(8);
         let report = engine.run_batch(&jobs, &BatchOptions::default()).unwrap();
         assert_eq!(report.jobs[0].outcome, JobOutcome::TimedOut);
@@ -654,7 +496,7 @@ algo = "degk"
             "a timed-out job must not insert into the graph cache"
         );
         assert_eq!(engine.decomp_cache_stats().inserts, 0);
-        // The same job without the watchdog then runs fine.
+        // The same job without a timeout then runs fine.
         jobs[0].timeout_ms = None;
         let report = engine.run_batch(&jobs, &BatchOptions::default()).unwrap();
         assert_eq!(report.jobs[0].outcome, JobOutcome::Ok);

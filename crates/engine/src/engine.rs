@@ -260,9 +260,9 @@ impl Engine {
     }
 
     /// Solve `solver` on an already-loaded graph through the decomposition
-    /// cache. This is the synchronous library path (no watchdog, current
-    /// thread pool); [`Engine::run_job`] wraps the same computation with
-    /// source resolution, thread pinning, and a timeout.
+    /// cache. This is the synchronous library path (current thread pool,
+    /// no stop of its own); [`Engine::run_job`] wraps the same computation
+    /// with source resolution, thread pinning, and a timeout.
     pub fn solve_on(
         &mut self,
         g: &Arc<Graph>,

@@ -17,7 +17,7 @@
 //! arch = "cpu"          # cpu | gpu (default cpu)
 //! frontier = "compact"  # dense | compact (default compact)
 //! threads = 4           # optional per-job pool pin
-//! timeout_ms = 60000    # optional watchdog budget
+//! timeout_ms = 60000    # optional time budget
 //! graph_seed = 7        # optional; generation seed (defaults to seed)
 //! ```
 //!
@@ -49,7 +49,8 @@ pub struct JobSpec {
     pub seed: u64,
     /// Per-job thread-pool pin.
     pub threads: Option<usize>,
-    /// Per-job watchdog budget in milliseconds.
+    /// Per-job time budget in milliseconds: once it passes, the job stops
+    /// at its next round check.
     pub timeout_ms: Option<u64>,
 }
 

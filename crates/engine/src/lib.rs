@@ -6,10 +6,11 @@
 //! (`graph × decomposition × problem × algo × arch × mode`) runs through
 //! one [`Engine`], which fingerprints graphs ([`fingerprint`]), memoizes
 //! parsed graphs and decompositions in bounded LRU caches ([`cache`])
-//! keyed by `(fingerprint, decomposition, params, seed)`, and schedules
-//! each job with its own thread pin, timeout watchdog, and trace sink
-//! ([`batch`]). N jobs on one graph pay for ingestion and each distinct
-//! decomposition once.
+//! keyed by `(fingerprint, decomposition, params, seed)`, and runs each
+//! job on the calling thread with its own thread pin, trace sink, and a
+//! stop that ends it at its next round once its timeout passes or its
+//! cancel token fires ([`batch`]). N jobs on one graph pay for ingestion
+//! and each distinct decomposition once.
 //!
 //! The cached path is byte-identical to the fresh path: solver outputs are
 //! pure functions of `(graph, decomposition, algo, arch, seed, mode)`, and

@@ -54,7 +54,7 @@ pub struct SolveParams {
     /// Per-request thread-pool pin.
     pub threads: Option<usize>,
     /// Per-request deadline: total milliseconds from admission (queue wait
-    /// included) before the request is abandoned with `timeout`.
+    /// included) before the request is stopped with `timeout`.
     pub deadline_ms: Option<u64>,
     /// Whether the response should carry the rendered solution text.
     pub want_solution: bool,
@@ -469,7 +469,7 @@ pub fn overloaded_response_json(id: &str, queue_depth: usize, queue_cap: usize) 
     )
 }
 
-/// Queued-too-long / abandoned-at-deadline rejection.
+/// Queued-too-long / stopped-at-deadline rejection.
 pub fn timeout_response_json(id: &str, detail: &str) -> String {
     format!(
         "{{{}\"status\":\"timeout\",\"detail\":\"{}\"}}",

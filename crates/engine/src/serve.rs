@@ -6,10 +6,14 @@
 //! executed by a fixed pool of `workers` threads fed from a **bounded**
 //! queue — when the queue is full the request is rejected immediately with
 //! an `overloaded` response (admission control) instead of building an
-//! unbounded backlog. Deadlines are measured from admission, so a request
-//! that waited out its budget in the queue is answered `timeout` without
-//! ever spawning a solve; cancellation releases the coordinator exactly
-//! like the batch watchdog does, so neither path can poison the caches.
+//! unbounded backlog. Each solve and mutate runs inline on the worker that
+//! dequeued it, under the same stop as a batch job ([`crate::batch`]):
+//! deadlines are measured from admission, so a request that waited out its
+//! budget in the queue is answered `timeout` without ever starting, and
+//! one whose deadline passes or whose client cancels it stops at its next
+//! round check. A stopped request commits nothing, so it cannot poison the
+//! caches, and a panicking one is answered `failed` by a worker that lives
+//! on.
 //!
 //! The `stats` op exports the sb-metrics cache counters, per-tenant byte
 //! usage, and sb-trace per-phase latency percentiles aggregated across all
@@ -34,6 +38,7 @@ use sb_core::solver::Solution;
 use sb_graph::csr::Graph;
 use sb_graph::editlog::EditLog;
 use sb_par::exec::with_threads;
+use sb_par::stop::{run_stoppable, Stopped};
 use sb_trace::{span_durations, TraceSink};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
@@ -437,7 +442,31 @@ impl Shared {
         }
         let queue_ms = waited.as_secs_f64() * 1e3;
         if let Some(batch) = &edits {
-            let (counter, line) = self.run_mutate(&params, &job, batch, &cancel, queue_ms);
+            self.repairs.requests.fetch_add(1, Ordering::Relaxed);
+            let stop_at = deadline.map(|d| enqueued + d);
+            let run = run_stoppable(stop_at, Some(&cancel), || {
+                self.run_mutate(&params, &job, batch, &cancel, queue_ms)
+            });
+            let (counter, line) = match run {
+                Ok(answer) => answer,
+                Err(Stopped::TimedOut) => {
+                    self.metrics.timeouts.inc();
+                    let detail =
+                        format!("exceeded {} ms", deadline.unwrap_or_default().as_millis());
+                    (
+                        &self.counts.timeout,
+                        timeout_response_json(&params.id, &detail),
+                    )
+                }
+                Err(Stopped::Cancelled) => (
+                    &self.counts.cancelled,
+                    cancelled_response_json(&params.id, "cancelled"),
+                ),
+                Err(Stopped::Failed(e)) => (
+                    &self.counts.failed,
+                    error_response_json(&params.id, "failed", &e),
+                ),
+            };
             return done(counter, line);
         }
         let sink = Arc::new(TraceSink::enabled());
@@ -513,13 +542,13 @@ impl Shared {
     /// batches could read the same prior state and the later commit would
     /// silently drop the earlier acknowledged batch.
     ///
-    /// Cancellation discipline mirrors the batch watchdog: a cancel
-    /// observed at the commit gate discards the new stream state — the
-    /// stream stays at its previous position and the batch can be
-    /// resubmitted. Whatever the edit landed in the shared caches
-    /// (the materialized graph, patched decompositions) is valid data
-    /// under its own `(base, edit log)` key, so leaving it is a warm
-    /// cache, not poison.
+    /// Runs under the request's stop (see [`Shared::process`]). A stop or a
+    /// panic before the commit, like a cancel observed at the commit gate,
+    /// discards the new stream state — the stream stays at its previous
+    /// position and the batch can be resubmitted. Whatever the edit landed
+    /// in the shared caches (the materialized graph, patched
+    /// decompositions) is valid data under its own `(base, edit log)` key,
+    /// so leaving it is a warm cache, not poison.
     fn run_mutate(
         &self,
         params: &SolveParams,
@@ -528,7 +557,6 @@ impl Shared {
         cancel: &CancelToken,
         queue_ms: f64,
     ) -> (&AtomicU64, String) {
-        self.repairs.requests.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         let fail = |detail: String| {
             (
@@ -1172,6 +1200,61 @@ mod tests {
         let held = conns().len();
         assert!(held <= 2, "{held} handles held after 64 closed connections");
         drop(open);
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn a_panicking_mutate_is_answered_and_its_worker_survives() {
+        use crate::engine::DecompKey;
+        use sb_core::solver::Decomposition;
+        use sb_graph::builder::from_edge_list;
+        use sb_par::counters::Counters;
+
+        let server = Server::spawn(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind loopback");
+        let mut client = Client::connect(server.addr()).unwrap();
+        // A dead worker never answers: fail instead of hanging.
+        let timeout = Some(Duration::from_secs(60));
+        client.reader.get_ref().set_read_timeout(timeout).unwrap();
+        let mut m = MutateParams::new("gen:lp1", "mis", "degk:2", "");
+        m.solve.scale = 0.05;
+        m.solve.graph_seed = Some(42);
+        m.solve.seed = 11;
+
+        // Cache a two-vertex graph's decomposition under this graph's key:
+        // the stream's first solve indexes past its end, and does so while
+        // it holds the engine lock.
+        let job = m.solve.to_job_spec().unwrap();
+        let src = GraphSource::parse(&job.graph, job.scale, job.effective_graph_seed()).unwrap();
+        {
+            let mut engine = server.shared.engine.lock();
+            let (_, fp, _) = engine.graph(&src).unwrap();
+            let (algo, seed) = (job.solver.algo, job.seed);
+            let tiny = from_edge_list(2, &[(0, 1)]);
+            let (d, _) = Decomposition::compute(&tiny, algo, seed, &Counters::new());
+            let key = DecompKey::new(fp, algo, seed);
+            engine.decomps.insert(key, Arc::new(d.unwrap()));
+        }
+        let reply = client.mutate(&m).unwrap();
+        assert_eq!(reply.status(), "error", "{:?}", reply.raw);
+        assert_eq!(reply.str_field("code"), Some("failed"));
+        let detail = reply.str_field("detail").unwrap_or_default();
+        assert!(
+            detail.starts_with("solver panicked: ") && detail.contains("out of bounds"),
+            "{detail}"
+        );
+
+        // The only worker is still there, and so is the engine it held.
+        let mut p = SolveParams::new("gen:lp1", "mis", "baseline");
+        p.scale = 0.05;
+        p.graph_seed = Some(42);
+        let solve = client.solve(&p).unwrap();
+        assert_eq!(solve.status(), "ok", "{:?}", solve.raw);
+        assert_eq!(solve.bool_field("graph_cached"), Some(true));
         server.shutdown();
         server.join();
     }

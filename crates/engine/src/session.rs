@@ -2,45 +2,21 @@
 //!
 //! A [`SharedEngine`] wraps one [`Engine`] in a mutex so many connections
 //! can solve against the same graph/decomposition LRUs. The lock is only
-//! held for cache probes and commits (microseconds); solves run on
-//! detached worker threads via the probe→compute→commit pipeline in
-//! [`crate::batch`], so N sessions solve concurrently while sharing every
-//! cache hit. Each [`Session`] is bound to a tenant name, which is what
-//! the per-tenant byte quotas in [`crate::cache::Lru`] charge against.
+//! held for cache probes and commits (microseconds); each solve runs
+//! inline on the calling thread (a serve worker) via the
+//! probe→compute→commit pipeline in [`crate::batch`], so N workers solve
+//! concurrently while sharing every cache hit. Each [`Session`] is bound
+//! to a tenant name, which is what the per-tenant byte quotas in
+//! [`crate::cache::Lru`] charge against.
 
 use crate::batch::{run_job_shared, EngineAccess};
 use crate::engine::{Engine, EngineConfig};
 use crate::jobs::JobSpec;
 use crate::JobRecord;
+pub use sb_par::stop::CancelToken;
 use sb_trace::TraceSink;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
-
-/// A cooperative cancellation flag shared between a client-facing
-/// coordinator and whoever wants to abort the request. Cancelling never
-/// interrupts the solver mid-computation — the detached worker keeps
-/// running and its results are discarded — it releases the *coordinator*,
-/// exactly like the watchdog timeout path, so caches are never poisoned.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Trip the token. Idempotent.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether [`CancelToken::cancel`] has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
 
 /// One [`Engine`] behind a mutex, shared by every session of a server.
 #[derive(Clone)]
@@ -91,16 +67,12 @@ pub struct Session {
 }
 
 impl Session {
-    /// The tenant this session's cache inserts are charged to.
-    pub fn tenant(&self) -> &str {
-        &self.tenant
-    }
-
-    /// Run one job against the shared caches: probe under the lock, solve
-    /// on a watchdogged worker with the lock released, commit under the
-    /// lock only on a clean, verified finish. `deadline` bounds the wait
-    /// (tighter of it and the job's own `timeout_ms`); `cancel` aborts the
-    /// wait early with [`crate::JobOutcome::Cancelled`].
+    /// Run one job against the shared caches on this thread: probe under
+    /// the lock, solve with the lock released, commit under the lock only
+    /// on a clean, verified finish. Once `deadline` (or the job's own
+    /// `timeout_ms`, whichever is tighter) passes, the job stops at its
+    /// next round check with [`crate::JobOutcome::TimedOut`]; once
+    /// `cancel` fires, with [`crate::JobOutcome::Cancelled`].
     pub fn run_job(
         &self,
         job: &JobSpec,

@@ -128,6 +128,8 @@ pub(crate) fn read_edge_list_chunked<R: Read>(
     let mut any = false;
     let mut peak_bytes = 0usize;
     let mut flush = |b: &mut GraphBuilder, chunk: &mut Vec<(u32, u32)>, max_id: u32| {
+        // Ingestion counts no rounds; a stopped job stops at a flush.
+        sb_par::stop::check();
         peak_bytes = peak_bytes.max(chunk.len() * std::mem::size_of::<(u32, u32)>());
         // Ids were range-checked against the hint on parse; without a hint
         // the vertex set grows to cover what this chunk saw.

@@ -134,8 +134,14 @@ impl Counters {
     }
 
     /// Record `k` completed rounds (usually `k = 1`).
+    ///
+    /// Every round loop counts its rounds here, so this is also where a
+    /// stopped job stops: inside [`crate::stop::run_stoppable`] it first
+    /// runs [`crate::stop::check`], and the rounds are not counted if the
+    /// job stops.
     #[inline]
     pub fn add_rounds(&self, k: u64) {
+        crate::stop::check();
         self.rounds.fetch_add(k, Ordering::Relaxed);
     }
 

@@ -234,11 +234,6 @@ impl Frontier {
     pub fn select_marked_into(&self, marks: &ByteMarks, dst: &mut Frontier) {
         self.select_into(|v| marks.get(v), dst);
     }
-
-    /// Capacity currently held across both buffers (for reuse accounting).
-    fn capacity(&self) -> usize {
-        self.cur.capacity() + self.spare.capacity()
-    }
 }
 
 /// A per-vertex (or per-edge) mark array shared across a parallel sweep,
@@ -361,15 +356,12 @@ impl Scratch {
     }
 
     /// Borrow an empty [`Frontier`] (its buffers keep the capacity they had
-    /// when recycled).
+    /// when recycled). Only a pool miss counts as a fresh allocation: a
+    /// recycled frontier is a reuse even if nothing ever filled it.
     pub fn take_frontier(&mut self) -> Frontier {
         match self.frontiers.pop() {
             Some(mut f) => {
-                if f.capacity() > 0 {
-                    self.reuses += 1;
-                } else {
-                    self.fresh_allocs += 1;
-                }
+                self.reuses += 1;
                 f.cur.clear();
                 f.spare.clear();
                 f
@@ -546,9 +538,14 @@ mod tests {
         s.recycle_frontier(f);
         let f2 = s.take_frontier();
         assert!(f2.is_empty(), "recycled frontier comes back cleared");
-        assert!(f2.capacity() >= 1000, "but keeps its capacity");
+        assert!(f2.cur.capacity() >= 1000, "but keeps its capacity");
         let st = s.stats();
         assert_eq!(st.fresh_allocs, 1);
         assert_eq!(st.reuses, 1);
+        // A frontier nothing ever filled is a reuse too: no allocation.
+        s.recycle_frontier(Frontier::new());
+        drop(s.take_frontier());
+        assert_eq!(s.stats().fresh_allocs, 1);
+        assert_eq!(s.stats().reuses, 2);
     }
 }

@@ -19,8 +19,9 @@
 //! K40c cost model), [`exec`] (thread-pool scoping — the one place thread
 //! counts are pinned for ablations and tests), [`rng`] (counter-based
 //! splittable random numbers so parallel algorithms are deterministic for a
-//! given seed regardless of thread count), and [`union_find`] (lock-free
-//! disjoint sets).
+//! given seed regardless of thread count), [`stop`] (stopping a job at its
+//! next round once its deadline passes or its cancel token fires), and
+//! [`union_find`] (lock-free disjoint sets).
 
 pub mod atomic;
 pub mod bsp;
@@ -29,6 +30,7 @@ pub mod exec;
 pub mod frontier;
 pub mod prim;
 pub mod rng;
+pub mod stop;
 pub mod union_find;
 
 pub use bsp::BspExecutor;

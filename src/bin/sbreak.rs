@@ -646,10 +646,9 @@ fn cmd_fuzz(f: &Flags) -> Result<(), String> {
 }
 
 /// `sbreak batch`: run a jobs file through the cached-decomposition
-/// engine. Per-job thread pins come from the jobs file; `--threads` sets
-/// the default for jobs that don't pin (the engine's workers run outside
-/// any pool installed on this thread, so the global pin would not reach
-/// them).
+/// engine. Jobs run one after another on this thread, each stopped at its
+/// next round once its `timeout_ms` passes. A job's `threads` pin from the
+/// jobs file wins; the others run in the pool `--threads` installs.
 fn cmd_batch(f: &Flags) -> Result<(), String> {
     use symmetry_breaking::engine::{
         parse_jobs, run_batch_compare, BatchOptions, Engine, EngineConfig,
@@ -657,12 +656,7 @@ fn cmd_batch(f: &Flags) -> Result<(), String> {
 
     let path = f.positional.first().ok_or("batch needs a jobs file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut jobs = parse_jobs(&text, path)?;
-    if let Some(n) = f.threads {
-        for job in &mut jobs {
-            job.threads.get_or_insert(n);
-        }
-    }
+    let jobs = parse_jobs(&text, path)?;
     println!("batch: {} job(s) from {path}", jobs.len());
 
     let cfg = EngineConfig {
@@ -1014,10 +1008,10 @@ fn main() -> ExitCode {
     // Pin the whole command to an explicit pool when asked; otherwise the
     // lazily-built global pool (host parallelism) governs parallel calls.
     // `fuzz` is exempt (its oracle builds a 1-vs-N pool matrix itself), as
-    // are `batch`, `serve`, and `loadgen` (each engine job pins its own
-    // worker; for `serve`, --threads is the per-request default pin).
+    // are `serve` and `loadgen` (their solves run on the daemon's workers;
+    // for `serve`, --threads is the per-request default pin).
     let result = match flags.threads {
-        Some(n) if !matches!(cmd.as_str(), "fuzz" | "batch" | "serve" | "loadgen") => {
+        Some(n) if !matches!(cmd.as_str(), "fuzz" | "serve" | "loadgen") => {
             symmetry_breaking::par::with_threads(n, run)
         }
         _ => run(),

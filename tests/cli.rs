@@ -285,9 +285,8 @@ fn batch_timeout_fails_the_run_and_names_the_job() {
     let jobs = dir.join("jobs.toml");
     std::fs::write(
         &jobs,
-        // Full-scale so the job cannot finish inside the parent's
-        // scheduling quantum and beat the 0 ms watchdog (seen on
-        // single-core hosts with small graphs).
+        // Full-scale, so the job could not finish inside a 0 ms budget
+        // even if it started.
         "[[job]]\nlabel = \"slow\"\ngraph = \"gen:lp1\"\nscale = 1.0\n\
          problem = \"mm\"\nalgo = \"rand:4\"\ntimeout_ms = 0\n",
     )

@@ -2,7 +2,8 @@
 //! socket, driven through real TCP clients. Covers the protocol
 //! round-trip, typed rejection of malformed JSONL, cross-tenant cache
 //! sharing, admission control (queue-full → `overloaded`), deadlines
-//! (expired → `timeout` without cache poisoning), cancellation, clean
+//! (expired → `timeout` without cache poisoning), cancellation, stopped
+//! solves leaving no thread behind in a real daemon process, clean
 //! shutdown, and the loadgen cold-vs-warm contract.
 
 use symmetry_breaking::core::verify::check_maximal_independent_set;
@@ -638,7 +639,7 @@ fn cancel_releases_an_in_flight_request() {
     }
     assert!(saw_ack && saw_cancelled);
 
-    // Cancellation is cooperative abandonment: nothing was committed.
+    // A cancelled request commits nothing.
     {
         let engine = server.engine();
         let engine = engine.lock();
@@ -651,6 +652,109 @@ fn cancel_releases_an_in_flight_request() {
 
     server.shutdown();
     server.join();
+}
+
+/// `Threads:` of process `pid`, from `/proc/<pid>/status`.
+#[cfg(target_os = "linux")]
+fn thread_count(pid: u32) -> usize {
+    std::fs::read_to_string(format!("/proc/{pid}/status"))
+        .expect("read the daemon's status")
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("a Threads: line")
+}
+
+/// A `sbreak serve` child process, killed if the test ends early.
+#[cfg(target_os = "linux")]
+struct Daemon(std::process::Child);
+
+#[cfg(target_os = "linux")]
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn stopped_solves_leave_no_thread_behind() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sbreak"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("start sbreak serve");
+    // Kept open to the end: the daemon prints again when it shuts down.
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut daemon = Daemon(child);
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    // "sbreak serve: listening on <addr> (...)"
+    let addr = banner
+        .split_whitespace()
+        .nth(4)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+    let pid = daemon.0.id();
+    let mut client = Client::connect(addr).unwrap();
+    // One generated graph for every solve, whatever its solver seed.
+    let rgg = |algo: &str| {
+        let mut p = SolveParams::new("gen:rgg-n-2-24-s0", "mm", algo);
+        p.scale = 0.25;
+        p.graph_seed = Some(7);
+        p
+    };
+    // A dense GM baseline takes hundreds of rounds on this graph.
+    let dense_gm = |seed: u64| {
+        let mut p = rgg("baseline");
+        p.frontier = "dense".into();
+        p.seed = seed;
+        p
+    };
+
+    // Warm the graph cache and the pool, which starts lazily.
+    let warm = client.solve(&rgg("rand:4")).unwrap();
+    assert_eq!(warm.status(), "ok", "{:?}", warm.raw);
+    let idle = thread_count(pid);
+
+    for seed in 1..=8 {
+        let mut p = dense_gm(seed);
+        p.deadline_ms = Some(20);
+        let reply = client.solve(&p).unwrap();
+        assert_eq!(reply.status(), "timeout", "{:?}", reply.raw);
+        assert_eq!(reply.bool_field("graph_cached"), Some(true));
+    }
+    let mut p = dense_gm(9);
+    p.id = "c".into();
+    client.send_line(&p.to_json()).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    client.send_line(r#"{"op":"cancel","id":"c"}"#).unwrap();
+    for _ in 0..2 {
+        let reply = client.recv().unwrap();
+        if reply.str_field("op") != Some("cancel") {
+            assert_eq!(reply.status(), "cancelled", "{:?}", reply.raw);
+        }
+    }
+
+    // A stopped solve ran on its worker and is over: nothing keeps
+    // computing behind the replies.
+    let last_reply = Instant::now();
+    let mut threads = thread_count(pid);
+    while threads > idle && last_reply.elapsed() < Duration::from_millis(100) {
+        std::thread::sleep(Duration::from_millis(5));
+        threads = thread_count(pid);
+    }
+    assert!(
+        threads <= idle,
+        "{threads} threads 100 ms after the last reply, {idle} when idle"
+    );
+    assert_eq!(client.shutdown().unwrap().status(), "ok");
+    assert!(daemon.0.wait().unwrap().success());
 }
 
 #[test]
